@@ -51,6 +51,14 @@ from repro.ras.fields import Facility, Severity
 #: Sentinel subcategory id for unclassified events.
 UNCLASSIFIED: int = -1
 
+#: Rows converted per batch when iterating a store as event objects: large
+#: enough to amortize the per-column ``tolist``, small enough that a
+#: consumer stopping early (or a huge mapped store) converts little.
+_ITER_ROWS = 1024
+
+_FACILITIES: dict[int, Facility] = {int(f): f for f in Facility}
+_SEVERITIES: dict[int, Severity] = {int(s): s for s in Severity}
+
 #: Backwards-compatible alias — the intern table now lives in
 #: :mod:`repro.ras.backend` so both backends and the columnar format share it.
 _InternTable = InternTable
@@ -256,30 +264,25 @@ class EventStore:
         would block the event loop (RL013).
         """
         events = list(events)
-        n = len(events)
-        times = np.empty(n, dtype=np.int64)
-        severities = np.empty(n, dtype=np.int8)
-        facilities = np.empty(n, dtype=np.int8)
-        jobs = np.empty(n, dtype=np.int64)
-        location_ids = np.empty(n, dtype=np.int32)
-        entry_ids = np.empty(n, dtype=np.int32)
-        subcat_ids = np.empty(n, dtype=np.int32)
         locations = InternTable()
         entries = InternTable()
         subcats = InternTable()
-        for i, ev in enumerate(events):
-            times[i] = ev.time
-            severities[i] = int(ev.severity)
-            facilities[i] = int(ev.facility)
-            jobs[i] = ev.job_id
-            location_ids[i] = locations.intern(ev.location)
-            entry_ids[i] = entries.intern(ev.entry_data)
-            subcat_ids[i] = (
-                UNCLASSIFIED if ev.subcategory is None else subcats.intern(ev.subcategory)
-            )
+        # One column at a time; IntEnum members convert to int8 faster
+        # through ``fromiter`` than through ``np.array`` of a list.
         store = cls(
-            times, severities, facilities, jobs,
-            location_ids, entry_ids, subcat_ids,
+            np.array([ev.time for ev in events], dtype=np.int64),
+            np.fromiter((ev.severity for ev in events), np.int8, len(events)),
+            np.fromiter((ev.facility for ev in events), np.int8, len(events)),
+            np.array([ev.job_id for ev in events], dtype=np.int64),
+            np.array([locations.intern(ev.location) for ev in events], dtype=np.int32),
+            np.array([entries.intern(ev.entry_data) for ev in events], dtype=np.int32),
+            np.array(
+                [
+                    UNCLASSIFIED if ev.subcategory is None else subcats.intern(ev.subcategory)
+                    for ev in events
+                ],
+                dtype=np.int32,
+            ),
             locations, entries, subcats,
         )
         return store.sorted_by_time()
@@ -335,25 +338,34 @@ class EventStore:
         return self.select(key)
 
     def __iter__(self) -> Iterator[RasEvent]:
-        for i in range(len(self)):
-            yield self.event_at(i)
+        for lo in range(0, len(self), _ITER_ROWS):
+            yield from self._events(lo, lo + _ITER_ROWS)
+
+    def _events(self, lo: int, hi: int) -> list[RasEvent]:
+        """Rows ``lo:hi`` as event objects, converted a column at a time."""
+        locations = self._locations.strings
+        entries = self._entries.strings
+        # Unclassified rows carry id -1, which indexes the trailing None.
+        subcats: list[Optional[str]] = [*self._subcats.strings, None]
+        columns = [
+            self._backend.column(name)[lo:hi].tolist()
+            for name in ("times", "location_ids", "facilities", "severities",
+                         "entry_ids", "jobs", "subcat_ids")
+        ]
+        return [
+            RasEvent(t, locations[loc], _FACILITIES[fac], _SEVERITIES[sev],
+                     entries[ent], job, "RAS", subcats[sc])
+            for t, loc, fac, sev, ent, job, sc in zip(*columns)
+        ]
 
     def event_at(self, i: int) -> RasEvent:
         """Materialize row ``i`` as a :class:`RasEvent`."""
-        sc = int(self.subcat_ids[i])
-        return RasEvent(
-            time=int(self.times[i]),
-            location=self._locations[int(self.location_ids[i])],
-            facility=Facility(int(self.facilities[i])),
-            severity=Severity(int(self.severities[i])),
-            entry_data=self._entries[int(self.entry_ids[i])],
-            job_id=int(self.jobs[i]),
-            subcategory=None if sc == UNCLASSIFIED else self._subcats[sc],
-        )
+        i = range(len(self))[i]
+        return self._events(i, i + 1)[0]
 
     def to_events(self) -> list[RasEvent]:
         """Materialize the whole store as event objects (small stores only)."""
-        return [self.event_at(i) for i in range(len(self))]
+        return self._events(0, len(self))
 
     # ------------------------------------------------------------------ #
     # String table access
@@ -473,14 +485,16 @@ class EventStore:
 
     def sorted_by_time(self) -> "EventStore":
         """Return a time-sorted copy (stable); no-op copy if already sorted."""
-        if len(self) > 1 and np.any(np.diff(self.times) < 0):
-            order = np.argsort(self.times, kind="stable")
-            return self._derive(order)
-        return self
+        if self.is_time_sorted():
+            return self
+        return self._derive(np.argsort(self.times, kind="stable"))
 
     def is_time_sorted(self) -> bool:
         """True if the time column is non-decreasing."""
-        return len(self) < 2 or bool(np.all(np.diff(self.times) >= 0))
+        # Comparing shifted views skips ``np.diff``'s temporary and its
+        # fixed cost, which dominates on the serving loop's small chunks.
+        t = self.times
+        return len(t) < 2 or not bool((t[1:] < t[:-1]).any())
 
     def time_window(self, start: float, end: float) -> "EventStore":
         """Events with ``start <= time < end`` (O(log n) on sorted store).

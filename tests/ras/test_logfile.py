@@ -114,3 +114,30 @@ def test_mixed_dialect_file(tmp_path):
     )
     store = read_log(path)
     assert len(store) == 2
+
+
+# A negative epoch and an empty location field break RasEvent invariants;
+# the reader must report them as parse errors, not crash a skip-mode read.
+NEGATIVE_EPOCH = "-5 1970.01.01 R00 1970-01-01-00.00.00.000000 5 RAS KERNEL INFO msg"
+EMPTY_LOCATION = "100 1970.01.01  1970-01-01-00.01.40.000000 5 RAS KERNEL INFO msg"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [(NEGATIVE_EPOCH, "event time must be >= 0"), (EMPTY_LOCATION, "location must be non-empty")],
+)
+def test_invariant_violations_raise_parse_error(line, reason):
+    with pytest.raises(LogParseError, match=reason):
+        parse_line(line, 3)
+    with pytest.raises(LogParseError, match="line 1"):
+        read_log(io.StringIO(line + "\n"))
+
+
+@pytest.mark.parametrize("line", [NEGATIVE_EPOCH, EMPTY_LOCATION])
+def test_invariant_violations_skipped(line):
+    good = format_event(make_event())
+    stats = ReadStats()
+    store = read_log(io.StringIO(f"{good}\n{line}\n{good}\n"), errors="skip", stats=stats)
+    assert len(store) == 2
+    assert (stats.lines, stats.parsed, stats.skipped) == (3, 2, 1)
+

@@ -146,3 +146,26 @@ def test_event_at_fields(tiny_store):
     assert ev.location == "R00-M0-S"
     assert ev.facility is Facility.MONITOR
     assert ev.job_id == -1
+
+
+def test_event_objects_roundtrip_with_subcategories(monkeypatch):
+    import repro.ras.store as store_module
+
+    # Small iteration batches so the store crosses several batch edges.
+    monkeypatch.setattr(store_module, "_ITER_ROWS", 3)
+    events = [
+        make_event(time=t, entry=f"msg {t % 4}", job_id=t % 3 - 1)
+        for t in range(10)
+    ]
+    events = [
+        ev.with_subcategory(f"label{ev.time % 3}") if ev.time % 4 else ev
+        for ev in events
+    ]
+    store = EventStore.from_events(events)
+    subcats = [ev.subcategory for ev in events]
+    for got in (store.to_events(), list(store), [store[i] for i in range(len(store))]):
+        assert got == events
+        assert [ev.subcategory for ev in got] == subcats
+    assert store[-1] == events[-1]
+    with pytest.raises(IndexError):
+        store.event_at(len(store))
