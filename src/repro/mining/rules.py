@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.mining.apriori import apriori
@@ -223,18 +224,31 @@ def rules_from_itemsets(
 
 
 def _prune_generalizations(rules: list[Rule]) -> list[Rule]:
-    """Drop rules subsumed by a more specific, at-least-as-confident rule."""
-    kept: list[Rule] = []
-    for a in rules:
-        subsumed = any(
-            a.body < b.body
-            and (a.heads & b.heads)
-            and b.confidence >= a.confidence
-            for b in rules
-        )
-        if not subsumed:
-            kept.append(a)
-    return kept
+    """Drop rules subsumed by a more specific, at-least-as-confident rule.
+
+    Rule ``a`` is subsumed when some rule ``b`` has ``a.body < b.body``, a
+    head in common and ``b.confidence >= a.confidence``.  Instead of testing
+    all pairs, every rule ``b`` records its confidence under each
+    ``(non-empty proper sub-body, head)`` it specialises, keeping the
+    maximum; ``a`` is then subsumed iff that maximum at ``(a.body, h)``
+    reaches ``a.confidence`` for some head ``h``.  Cost is
+    O(sum of 2^|body|), which ``max_len`` bounds; input order is kept.
+    """
+    best: dict[tuple[frozenset[int], int], float] = {}
+    for b in rules:
+        body = tuple(b.body)
+        for size in range(1, len(body)):
+            for sub in combinations(body, size):
+                sub_body = frozenset(sub)
+                for head in b.heads:
+                    key = (sub_body, head)
+                    if best.get(key, -1.0) < b.confidence:
+                        best[key] = b.confidence
+    return [
+        a
+        for a in rules
+        if not any(best.get((a.body, h), -1.0) >= a.confidence for h in a.heads)
+    ]
 
 
 class RuleSet:

@@ -126,12 +126,12 @@ def build_event_sets(
     lo = np.searchsorted(nonfatal_times, times[fatal_positions] - rule_window, "left")
     hi = np.searchsorted(nonfatal_times, times[fatal_positions], "left")
 
-    bodies: list[frozenset[int]] = []
-    heads: list[frozenset[int]] = []
-    for k, pos in enumerate(fatal_positions):
-        body_items = nonfatal_subcats[lo[k] : hi[k]]
-        bodies.append(frozenset(int(x) for x in np.unique(body_items)))
-        heads.append(frozenset({int(subcats[pos])}))
+    # One tolist() each; a body is the distinct items of its window slice.
+    nonfatal_items = nonfatal_subcats.tolist()
+    bodies = [
+        frozenset(nonfatal_items[a:b]) for a, b in zip(lo.tolist(), hi.tolist())
+    ]
+    heads = [frozenset((item,)) for item in subcats[fatal_positions].tolist()]
     return EventSetDB(
         bodies=bodies,
         heads=heads,

@@ -320,7 +320,7 @@ class IngestDaemon:
                 # a restart can resume from it.  tag() writes files —
                 # off-loop, the event loop stays non-blocking.
                 registry = getattr(
-                    getattr(manager, "retrainer", None), "model_registry", None
+                    getattr(manager, "retrainer", None), "registry", None
                 )
                 serving = getattr(manager, "serving_snapshot", None)
                 if registry is not None and serving is not None:

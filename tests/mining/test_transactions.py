@@ -1,5 +1,6 @@
 """Tests for repro.mining.transactions (event-set construction)."""
 
+import numpy as np
 import pytest
 
 from repro.mining.transactions import (
@@ -10,6 +11,7 @@ from repro.mining.transactions import (
 from repro.ras.fields import Facility, Severity
 from repro.ras.store import EventStore
 from repro.taxonomy.classifier import TaxonomyClassifier
+from repro.util.rng import as_generator
 from tests.conftest import make_event
 
 
@@ -162,3 +164,61 @@ def test_tiled_windows_match_per_window_reference(anl_events, window):
     assert db.bodies == ref_bodies
     assert db.heads == ref_heads
     assert all(isinstance(next(iter(b), 0), int) for b in db.bodies)
+
+
+def _random_classified_store(seed, n=150, horizon=400, labels=9):
+    """Dense timestamps (many ties) and a fatal share of about a quarter."""
+    rng = as_generator(seed)
+    severities = rng.choice(
+        [int(s) for s in Severity], size=n, p=[0.3, 0.2, 0.15, 0.1, 0.15, 0.1]
+    )
+    return EventStore.from_columns(
+        times=rng.integers(0, horizon, n),
+        severities=severities,
+        facilities=np.zeros(n, dtype=np.int8),
+        jobs=np.full(n, -1),
+        location_ids=np.zeros(n, dtype=np.int32),
+        entry_ids=np.zeros(n, dtype=np.int32),
+        subcat_ids=rng.integers(0, labels, n),
+        locations=["R00-M0"],
+        entries=["e"],
+        subcats=[f"label{i}" for i in range(labels)],
+    )
+
+
+def _per_fatal_reference(events, window):
+    """Each fatal's body from its own np.unique over a time mask (the oracle)."""
+    times, subcats = events.times, events.subcat_ids
+    fatal = events.fatal_mask()
+    bodies, heads = [], []
+    for pos in np.flatnonzero(fatal):
+        t = times[pos]
+        in_window = ~fatal & (times >= t - window) & (times < t)
+        bodies.append(frozenset(int(x) for x in np.unique(subcats[in_window])))
+        heads.append(frozenset({int(subcats[pos])}))
+    return bodies, heads
+
+
+@pytest.mark.parametrize("window", [1.0, 7.5, 60.0, 1000.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_event_sets_match_per_fatal_reference(seed, window):
+    """Includes empty bodies, equal timestamps and windows that reach back
+    past the first event (the largest window covers the whole store)."""
+    events = _random_classified_store(seed)
+    db = build_event_sets(events, window, fatal_items=frozenset({0, 1}))
+    ref_bodies, ref_heads = _per_fatal_reference(events, window)
+    assert db.bodies == ref_bodies
+    assert db.heads == ref_heads
+    assert len(db) == int(events.fatal_mask().sum()) > 0
+    assert all(type(i) is int for b in db.bodies + db.heads for i in b)
+    if window == 1.0:
+        assert frozenset() in db.bodies
+
+
+def test_event_sets_when_the_store_opens_with_a_fatal(anl_events):
+    events = anl_events.select(slice(int(np.argmax(anl_events.fatal_mask())), None))
+    assert events.fatal_mask()[0]
+    db = build_event_sets(events, rule_window=15 * 60)
+    ref_bodies, ref_heads = _per_fatal_reference(events, 15 * 60)
+    assert db.bodies[0] == frozenset()
+    assert (db.bodies, db.heads) == (ref_bodies, ref_heads)

@@ -14,6 +14,14 @@ import asyncio
 
 import pytest
 
+from repro.evaluation.spec import PredictorSpec
+from repro.lifecycle import (
+    DriftMonitor,
+    LifecycleManager,
+    ModelRegistry,
+    Retrainer,
+    RetrainPolicy,
+)
 from repro.meta.stacked import MetaLearner
 from repro.online.resolution import SessionStats
 from repro.serve import DetectorPool
@@ -479,6 +487,48 @@ def test_manager_factory_gets_reference_then_fixed_chunks(fitted):
     assert manager.chunk_sizes == expected_sizes
     assert report.streams[0].stats == oracle_stats(meta, events)
     assert report.streams[0].processed == served
+
+
+def test_drain_tags_the_serving_snapshot_of_a_lifecycle_stream(fitted, tmp_path):
+    """Drain names the model serving each lifecycle stream ``serving-<id>``.
+
+    The daemon reaches the registry through the manager's retrainer
+    (duck-typed: serve never imports lifecycle), so a restart can resume
+    from the tag.
+    """
+    meta, test = fitted
+    events = list(test)
+    root = tmp_path / "reg"
+    registry = ModelRegistry(root)
+    spec = PredictorSpec.of("meta")
+    base = registry.save(meta, spec=spec)
+    managers = []
+
+    def factory(pool, reference):
+        manager = LifecycleManager(
+            pool,
+            DriftMonitor(reference, window=64),
+            RetrainPolicy(every_events=96, cooldown_events=64),
+            Retrainer(spec, registry, window_events=500, seed=3),
+            serving_snapshot=base.snapshot_id,
+        )
+        managers.append(manager)
+        return manager
+
+    config = DaemonConfig(port=0, queue_bound=512, shards=2, chunk_events=32)
+
+    async def run():
+        daemon = IngestDaemon(
+            meta, config, manager_factory=factory, reference_events=64
+        )
+        async with daemon:
+            await send_frames(daemon.port, batch_frames("s", events))
+            return await daemon.drain()
+
+    asyncio.run(run())
+    (manager,) = managers
+    assert manager.serving_snapshot != base.snapshot_id  # a retrain swapped
+    assert ModelRegistry(root).tags()["serving-s"] == manager.serving_snapshot
 
 
 def test_store_dir_archives_accepted_events(fitted, tmp_path):

@@ -7,7 +7,9 @@ import pytest
 
 from repro.meta.stacked import MetaLearner
 from repro.online import OnlineSession
+from repro.ras.store import EventStore
 from repro.serve import DetectorPool, midplane_of, shard_ids, shard_of_key
+from repro.util.rng import as_generator
 from repro.util.timeutil import MINUTE
 
 
@@ -53,6 +55,65 @@ def test_shard_ids_are_in_range_and_deterministic(fitted):
         a = shard_ids(test, key, 5)
         assert a.min() >= 0 and a.max() < 5
         assert np.array_equal(a, shard_ids(test, key, 5))
+
+
+def _wide_parent_store(seed: int = 0, n: int = 400) -> EventStore:
+    """A store whose location table is far larger than any chunk's use of it.
+
+    The table mixes compute-card, bare-midplane, rack-level and free-form
+    strings, so some locations shard by their midplane and some by their
+    full text.
+    """
+    rng = as_generator(seed)
+    locations = [f"R{r:02d}-M{m}-N{c:02d}-C{k:02d}"
+                 for r in range(3) for m in range(2) for c in range(3) for k in (0, 7)]
+    locations += ["R05-M1", "R06", "SYSTEM", "service-card", "R07-X1-N00"]
+    return EventStore.from_columns(
+        times=np.sort(rng.integers(0, 10_000, n)),
+        severities=np.zeros(n, dtype=np.int8),
+        facilities=np.zeros(n, dtype=np.int8),
+        jobs=rng.integers(-1, 50, n),
+        location_ids=rng.integers(0, len(locations), n),
+        entry_ids=np.zeros(n, dtype=np.int32),
+        subcat_ids=np.zeros(n, dtype=np.int32),
+        locations=locations,
+        entries=["e"],
+        subcats=["s"],
+    )
+
+
+def _per_row_shards(store: EventStore, key: str, shards: int) -> list[int]:
+    if key == "job":
+        return [int(job) % shards for job in store.jobs]
+    return [
+        shard_of_key(midplane_of(store.location_table[i]), shards)
+        for i in store.location_ids
+    ]
+
+
+@pytest.mark.parametrize("shards", [1, 4, 7])
+@pytest.mark.parametrize("key", ["midplane", "job"])
+def test_shard_ids_on_selected_chunks_match_per_row_routing(key, shards):
+    """Chunks cut by select() share the parent's whole intern table."""
+    parent = _wide_parent_store()
+    rng = as_generator(shards)
+    chunks = [parent.select(slice(lo, lo + 16)) for lo in range(0, len(parent), 16)]
+    chunks.append(parent.select(rng.random(len(parent)) < 0.1))
+    chunks.append(parent.select(slice(0, 0)))
+    chunks.append(parent)
+    for chunk in chunks:
+        assert list(chunk.location_table) == list(parent.location_table)
+        got = shard_ids(chunk, key, shards)
+        assert got.dtype == np.int64 and got.shape == (len(chunk),)
+        assert got.tolist() == _per_row_shards(chunk, key, shards)
+    # The 16-row chunks use far fewer locations than the table holds.
+    assert len(np.unique(chunks[0].location_ids)) < len(parent.location_table) // 2
+
+
+@pytest.mark.parametrize("key", ["midplane", "job"])
+def test_shard_ids_of_an_empty_store(key):
+    got = shard_ids(EventStore.from_events([]), key, 4)
+    assert got.dtype == np.int64 and got.shape == (0,)
 
 
 def test_shard_of_key_is_stable():
