@@ -13,15 +13,7 @@ Entry points:
   over events + warnings (implements serve's ``ActionSink`` protocol);
 - :mod:`repro.actions.policy` — the pluggable decision rules, including
   the :class:`CostAwarePolicy` composite that never knowingly loses
-  node-seconds;
-- :mod:`repro.actions.costmodel` / :mod:`repro.actions.rescue` — the
-  legacy abstract cost model and trace-replay rescue simulation, absorbed
-  from ``repro.evaluation`` (which still re-exports them for compat).
-
-Note: the legacy checkpoint-system parameter block
-(:class:`repro.actions.costmodel.CheckpointPolicy`) stays module-qualified;
-the :class:`CheckpointPolicy` exported here is the always-checkpoint
-*action policy*.
+  node-seconds.
 """
 
 from repro.actions.cost import ACTION_KINDS, NODES_PER_MIDPLANE, Action, CostModel

@@ -15,7 +15,6 @@ n contiguous folds of equal size, n-1 train and 1 tests, averaged.
 prints next to its measurements.
 """
 
-from repro.evaluation.costmodel import CheckpointPolicy, evaluate_policy
 from repro.evaluation.crossval import (
     CVResult,
     cross_validate,
@@ -46,7 +45,6 @@ from repro.evaluation.leadtime import (
     lead_time_profile,
     lead_time_summary,
 )
-from repro.evaluation.scheduling import RescueOutcome, simulate_rescue
 from repro.evaluation.significance import (
     ConfidenceInterval,
     bootstrap_ci,
@@ -97,13 +95,9 @@ __all__ = [
     "hotspots",
     "spatial_concentration",
     "colocated_fraction",
-    "CheckpointPolicy",
-    "evaluate_policy",
     "write_sweep_csv",
     "write_cdf_csv",
     "write_category_csv",
-    "RescueOutcome",
-    "simulate_rescue",
     "ConfidenceInterval",
     "bootstrap_ci",
     "paired_bootstrap_pvalue",

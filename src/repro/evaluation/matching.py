@@ -10,7 +10,7 @@ coverage accumulation — no quadratic warning x failure loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +31,6 @@ class MatchResult:
     #: For covered fatals, lead time from the earliest covering warning's
     #: issue to the failure (NaN for uncovered).
     lead_seconds: np.ndarray
-    #: Per-warning: index of the first fatal inside the horizon (-1 for a
-    #: miss).  Lets cost models charge one action per *distinct* matched
-    #: failure instead of one per warning (``None`` on hand-built results).
-    warning_fatal: Optional[np.ndarray] = None
 
     @property
     def mean_lead(self) -> float:
@@ -57,7 +53,6 @@ def match_warnings(
             warning_hit=np.zeros(0, dtype=bool),
             fatal_covered=np.zeros(n_fatals, dtype=bool),
             lead_seconds=np.full(n_fatals, np.nan),
-            warning_fatal=np.zeros(0, dtype=np.int64),
         )
 
     starts = np.array([w.horizon_start for w in warnings], dtype=np.int64)
@@ -68,7 +63,6 @@ def match_warnings(
     lo = np.searchsorted(fatal_times, starts, side="left")
     hi = np.searchsorted(fatal_times, ends, side="right")
     warning_hit = hi > lo
-    warning_fatal = np.where(warning_hit, lo, -1).astype(np.int64)
 
     # Fatal -> covered + earliest covering warning's issue time.
     fatal_covered = np.zeros(n_fatals, dtype=bool)
@@ -106,5 +100,4 @@ def match_warnings(
         warning_hit=warning_hit,
         fatal_covered=fatal_covered,
         lead_seconds=lead,
-        warning_fatal=warning_fatal,
     )

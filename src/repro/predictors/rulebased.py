@@ -147,7 +147,10 @@ def _match_stream(
     window: float,
     source: str,
 ) -> list[FailureWarning]:
-    """Shared streaming matcher (also used by the meta-learner).
+    """Streaming matcher behind :meth:`RuleBasedPredictor.predict`.
+
+    The meta-learner does not call this: ``MetaStream.step_batch`` runs its
+    own loop over the same :class:`RuleMatcher`.
 
     Maintains the non-fatal items inside the trailing ``window`` seconds; on
     each arrival that completes at least one rule, emits a warning for the

@@ -64,8 +64,8 @@ class CostArithmeticRule:
     hint = (
         "cost/expected-value arithmetic belongs to the actions layer's "
         "single price book — call repro.actions.CostModel's pricing/"
-        "settlement methods (or evaluate_policy/simulate_rescue) instead "
-        "of re-deriving the economics in place; see docs/actions.md"
+        "settlement methods instead of re-deriving the economics in "
+        "place; see docs/actions.md"
     )
 
     def _in_scope(self, ctx: "LintContext") -> bool:
