@@ -3,11 +3,12 @@
 Two measurements, both with a built-in correctness gate (the fast path must
 be *bit-identical* to the reference before its speed means anything):
 
-- **Batched columnar feed** (``OnlineDetector.feed_store``) versus the
-  per-event ``feed`` loop over the same fitted meta-learner — same warning
-  list required, events/sec and per-chunk feed-latency percentiles reported.
+- **Batched columnar feed** (``MetaStream.detect`` over 256-event chunks)
+  versus the per-event reference dispatch in ``tests/oracles.py`` over the
+  same fitted meta-learner — same warning list required, events/sec and
+  per-chunk feed-latency percentiles reported.
 - **Heap-based warning resolution** (``WarningResolver``) versus the seed's
-  deque implementation (rebuilt per event; inlined below as the reference)
+  deque implementation (rebuilt per event; ``tests/oracles.py`` keeps it)
   on a synthetic stream holding a ~10k pending-warning backlog — identical
   :class:`SessionStats` required, and the heap path must clear >= 5x the
   events/sec of the deque path (the PR's acceptance floor).
@@ -20,80 +21,21 @@ quadratic deque behaviour lived.
 
 from __future__ import annotations
 
-from collections import deque
 from time import perf_counter
-from typing import Optional
 
 from benchmarks.conftest import report
 from repro.core.pipeline import ThreePhasePredictor
 from repro.obs import get_registry, summarize_histogram
-from repro.online import OnlineDetector, OnlineSession, WarningResolver
+from repro.online import WarningResolver
 from repro.predictors.base import FailureWarning
 from repro.serve import DetectorPool
+from tests.oracles import LegacyDequeResolver, reference_detect
 
 #: Synthetic resolution stream: one warning per event, ~10k-event horizons
 #: (so the pending backlog plateaus near 10k), a failure every ~200 events.
 BACKLOG_EVENTS = 30_000
 BACKLOG_HORIZON = 10_000
 BACKLOG_FAILURE_EVERY = 200
-
-
-class _LegacyDequeResolver:
-    """The seed's resolution loop (rebuild-per-event), kept as the baseline.
-
-    This is a faithful inline copy of the pre-heap ``OnlineSession`` logic:
-    ``_expire`` rebuilds the whole pending deque on every arrival and the
-    fatal-coverage scan walks (and rebuilds) it again.  Do not "fix" it —
-    its O(P)-per-event behaviour is the thing being measured against.
-    """
-
-    def __init__(self) -> None:
-        from repro.online import SessionStats
-
-        self.stats = SessionStats()
-        self._pending: deque[tuple[FailureWarning, bool]] = deque()
-
-    def _expire(self, now: int) -> None:
-        keep: deque[tuple[FailureWarning, bool]] = deque()
-        for warning, hit in self._pending:
-            if warning.horizon_end < now:
-                if hit:
-                    self.stats.hits += 1
-                else:
-                    self.stats.false_alarms += 1
-            else:
-                keep.append((warning, hit))
-        self._pending = keep
-
-    def process(self, now: int, is_fatal: bool, raised: list[FailureWarning]):
-        self._expire(now)
-        self.stats.events += 1
-        if is_fatal:
-            self.stats.failures += 1
-            covered = False
-            earliest_issue: Optional[int] = None
-            updated: deque[tuple[FailureWarning, bool]] = deque()
-            for warning, hit in self._pending:
-                if warning.covers(now):
-                    hit = True
-                    covered = True
-                    if earliest_issue is None or warning.issued_at < earliest_issue:
-                        earliest_issue = warning.issued_at
-                updated.append((warning, hit))
-            self._pending = updated
-            if covered:
-                self.stats.caught_failures += 1
-                assert earliest_issue is not None
-                self.stats.lead_seconds.append(now - earliest_issue)
-            else:
-                self.stats.missed_failures += 1
-        for w in raised:
-            self.stats.warnings += 1
-            self._pending.append((w, False))
-
-    def finish(self):
-        self._expire(now=2**62)
-        return self.stats
 
 
 def _backlog_stream():
@@ -118,7 +60,7 @@ def test_resolution_heap_vs_deque_backlog():
     """10k-backlog resolution: heap must be >= 5x the deque baseline."""
     stream = _backlog_stream()
 
-    legacy = _LegacyDequeResolver()
+    legacy = LegacyDequeResolver()
     t0 = perf_counter()
     for now, is_fatal, raised in stream:
         legacy.process(now, is_fatal, raised)
@@ -158,7 +100,7 @@ def test_resolution_heap_vs_deque_backlog():
 
 
 def test_batched_feed_vs_per_event(anl_bench_events):
-    """feed_store vs per-event feed: identical warnings, events/sec, p50/p99."""
+    """Batch loop vs per-event oracle: identical warnings, events/sec, p50/p99."""
     events = anl_bench_events
     split = int(len(events) * 0.6)
     import numpy as np
@@ -167,26 +109,18 @@ def test_batched_feed_vs_per_event(anl_bench_events):
     test = events.select(np.arange(split, len(events)))
     meta = ThreePhasePredictor().fit(train).meta
 
-    per_event = OnlineDetector(meta)
     t0 = perf_counter()
-    reference = []
-    for ev in test:
-        reference.extend(per_event.feed(ev))
+    reference = reference_detect(meta.stream(), test)
     per_event_seconds = perf_counter() - t0
 
-    batched = OnlineDetector(meta)
+    stream = meta.stream()
     obs = get_registry()
     chunk = 256
     t0 = perf_counter()
     warnings = []
-    label_ids = batched.label_ids_for(test)
-    fatal = test.fatal_mask()
-    for lo in range(0, len(test), chunk):
-        hi = min(lo + chunk, len(test))
+    for part in test.iter_chunks(chunk):
         c0 = perf_counter()
-        warnings.extend(
-            batched.feed_batch(test.times[lo:hi], label_ids[lo:hi], fatal[lo:hi])
-        )
+        warnings.extend(stream.detect(part))
         obs.observe("serve.feed_seconds", perf_counter() - c0)
     batched_seconds = perf_counter() - t0
 
@@ -194,7 +128,7 @@ def test_batched_feed_vs_per_event(anl_bench_events):
     s = summarize_histogram(obs.histograms["serve.feed_seconds"])
     rows = [
         ("events", len(test)),
-        ("per-event events/sec", f"{len(test) / per_event_seconds:,.0f}"),
+        ("per-event reference events/sec", f"{len(test) / per_event_seconds:,.0f}"),
         ("batched events/sec", f"{len(test) / batched_seconds:,.0f}"),
         ("speedup", f"{per_event_seconds / batched_seconds:.1f}x"),
         (f"feed chunk ({chunk} ev) p50", f"{s['p50'] * 1e3:.3f} ms"),
@@ -214,13 +148,6 @@ def test_pool_replay_throughput(anl_bench_events):
     test = events.select(np.arange(split, len(events)))
     meta = ThreePhasePredictor().fit(train).meta
 
-    session = OnlineSession(meta)
-    t0 = perf_counter()
-    for ev in test:
-        session.process(ev)
-    session.finish()
-    per_event_seconds = perf_counter() - t0
-
     pool = DetectorPool(meta, shards=4, key="midplane")
     pool_report = pool.replay(test)
     report(
@@ -228,8 +155,6 @@ def test_pool_replay_throughput(anl_bench_events):
         [
             ("events", pool_report.events),
             ("active shards", len(pool_report.shards)),
-            ("per-event session events/sec",
-             f"{len(test) / per_event_seconds:,.0f}"),
             ("pool events/sec", f"{pool_report.events_per_sec:,.0f}"),
             ("warnings", pool_report.warnings_total),
             ("combined precision",

@@ -34,7 +34,7 @@ from repro.obs import MetricsRegistry
 from repro.predictors.base import FailureWarning
 from repro.predictors.rulebased import RuleBasedPredictor
 from repro.predictors.statistical import StatisticalPredictor
-from repro.online.detector import OnlineDetector, OnlineSession
+from repro.online.detector import OnlineSession
 from repro.preprocess.pipeline import PreprocessPipeline
 from repro.ras.events import RasEvent
 from repro.ras.fields import Facility, Severity
@@ -53,7 +53,6 @@ __all__ = [
     "load_model",
     "MetaLearner",
     "MultiMeta",
-    "OnlineDetector",
     "OnlineSession",
     "StatisticalPredictor",
     "RuleBasedPredictor",

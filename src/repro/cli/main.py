@@ -764,15 +764,14 @@ def cmd_watch(args: argparse.Namespace) -> int:
     meta = model.meta if isinstance(model, ThreePhasePredictor) else model
     _, result = _load_events(args)
     session = OnlineSession(meta)
-    for ev in result.events:
-        for w in session.process(ev):
-            if not args.quiet:
-                print(
-                    f"[{format_epoch(w.issued_at)}] WARNING "
-                    f"conf={w.confidence:.2f} "
-                    f"horizon={(w.horizon_end - w.issued_at) // 60}min "
-                    f"| {w.detail[:60]}"
-                )
+    for w in session.process_store(result.events):
+        if not args.quiet:
+            print(
+                f"[{format_epoch(w.issued_at)}] WARNING "
+                f"conf={w.confidence:.2f} "
+                f"horizon={(w.horizon_end - w.issued_at) // 60}min "
+                f"| {w.detail[:60]}"
+            )
     stats = session.finish()
     print(
         f"watch summary: {stats.events} events, {stats.failures} failures, "

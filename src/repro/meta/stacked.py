@@ -13,22 +13,25 @@ trailing observation window and
 3. if both non-fatal and fatal events are present, uses the base method whose
    candidate prediction carries the higher confidence.
 
-The dispatch logic lives in :class:`MetaStream`, a strictly forward,
-event-at-a-time state machine: :meth:`MetaLearner.predict` drives it over a
-store, and :class:`repro.online.detector.OnlineDetector` drives it from a
-live feed — by construction both produce identical warnings, which is the
-paper's online-deployability claim made testable.  Cost per event is O(rules
-containing the arriving item), "about the same as the rule-based method".
+The dispatch logic lives in one loop, :meth:`MetaStream.detect`, a strictly
+forward state machine fed classified stores: :meth:`MetaLearner.predict`
+runs it over a whole store, and :class:`repro.online.detector.OnlineSession`
+runs it chunk by chunk over a live feed — by construction both produce
+identical warnings, which is the paper's online-deployability claim made
+testable.  Store labels are mapped into the model's rule-item space by name
+before dispatch, so the result does not depend on a store's intern order.
+Cost per event is O(rules containing the arriving item), "about the same as
+the rule-based method".
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.mining.rules import Rule, RuleMatcher, RuleSet
+from repro.mining.rules import Rule, RuleMatcher, RuleSet, item_ids_for
 from repro.obs import get_registry
 from repro.predictors.base import FailureWarning, Predictor
 from repro.predictors.rulebased import RuleBasedPredictor
@@ -48,8 +51,10 @@ class MetaStream:
     events for the duration of 1 hour after a failure has been reported"),
     and the active-warning tables used for deduplication.
 
-    Events must be fed in non-decreasing time order; :meth:`step` returns
-    the warnings raised by that event (usually none).
+    :meth:`detect` is the one detection loop: classified stores go in, in
+    non-decreasing time order within and across calls, and the warnings they
+    raised come out.  State carries over between calls, so any chunking of a
+    stream yields the same warnings as feeding it whole.
     """
 
     def __init__(
@@ -68,6 +73,20 @@ class MetaStream:
         self.trigger_set = set(statistical.trigger_categories)
         self.dispatch_counts = {"rule": 0, "statistical": 0}
 
+        # The stream's item space: the rule items (the training store's label
+        # order), then every classifier label the training store lacked.
+        # Those extra ids are in no rule body, so they reach only the
+        # statistical side, with their own main category.
+        clf = statistical.classifier
+        item_index = dict(ruleset.item_index)
+        for name in clf.label_names:
+            item_index.setdefault(name, len(item_index))
+        self._item_index = item_index
+        #: A label the model never saw counts as the classifier's fallback.
+        self._unseen = item_index[clf.label_names[-1]]
+        #: Item id -> main category (consulted for fatal arrivals only).
+        self._categories = [clf.category_of_label(n) for n in item_index]
+
         self._matcher = RuleMatcher(ruleset)
         self._window_events: deque[tuple[int, int]] = deque()  # non-fatal
         self._fatal_history: deque[int] = deque()
@@ -76,19 +95,6 @@ class MetaStream:
         self._stat_active_until: dict[str, int] = {}
         self._stat_conf_until: list[tuple[int, float]] = []
         self._last_time: Optional[int] = None
-
-    # -- internals ------------------------------------------------------ #
-
-    def _best_satisfied(self) -> Optional[Rule]:
-        # Kept incrementally by the matcher (lazy satisfied-index heap)
-        # instead of rescanning every rule per arrival.
-        return self._matcher.best_satisfied()
-
-    def _active_stat_conf(self, t: int) -> float:
-        """Max confidence among statistical warnings covering ``t``."""
-        return max(
-            (c for end, c in self._stat_conf_until if t <= end), default=0.0
-        )
 
     def _emit_rule(self, t: int, rule: Rule) -> Optional[FailureWarning]:
         end = self._rule_active_until.get(rule.body)
@@ -130,123 +136,19 @@ class MetaStream:
         self.dispatch_counts["statistical"] += 1
         return warning
 
-    def _advance(self, t: int) -> None:
-        while self._window_events and self._window_events[0][0] < t - self.w:
-            _, old_item = self._window_events.popleft()
-            self._matcher.remove(old_item)
-        while self._fatal_history and self._fatal_history[0] < t - self.stat_hi:
-            self._fatal_history.popleft()
-        while (
-            self._trigger_history
-            and self._trigger_history[0] < t - self.stat_hi
-        ):
-            self._trigger_history.popleft()
+    def detect(self, store: EventStore) -> list[FailureWarning]:
+        """Run a classified store through the dispatch; returns its warnings.
 
-    # -- public --------------------------------------------------------- #
-
-    def step(
-        self,
-        t: int,
-        subcat_id: int,
-        is_fatal: bool,
-        category: MainCategory,
-    ) -> list[FailureWarning]:
-        """Process one event; returns the warnings it raised (0 or 1)."""
-        t = int(t)
-        if self._last_time is not None and t < self._last_time:
-            raise ValueError(
-                f"events must arrive in time order ({t} < {self._last_time})"
-            )
-        self._last_time = t
-        self._advance(t)
-        out: list[FailureWarning] = []
-
-        if not is_fatal:
-            self._window_events.append((t, subcat_id))
-            completed = self._matcher.add(subcat_id)
-            if completed:
-                best = self._best_satisfied()
-                if best is not None:
-                    if self._fatal_history:
-                        # Case 3 at a non-fatal arrival: defer to the
-                        # statistical method only if one of its warnings is
-                        # actually active and more confident.
-                        if best.confidence >= self._active_stat_conf(t):
-                            w = self._emit_rule(t, best)
-                            if w:
-                                out.append(w)
-                    else:
-                        # Case 1: only non-fatal context.
-                        w = self._emit_rule(t, best)
-                        if w:
-                            out.append(w)
-            return out
-
-        # Fatal event: the statistical method's trigger point.
-        stat_conf = self.statistical.candidate_confidence(category)
-        if stat_conf is not None and not self._trigger_history:
-            # The learned pattern is "trigger-category failure, then more
-            # failures"; a trigger with no trigger-category history is the
-            # potential *start* of a pattern, not evidence of one.
-            stat_conf = None
-        nonfatal_present = self._matcher.has_observed()
-        best = self._best_satisfied() if nonfatal_present else None
-        if stat_conf is not None:
-            if not nonfatal_present:
-                # Case 2: only fatal context -> statistical method.
-                w = self._emit_stat(t, category, stat_conf)
-                if w:
-                    out.append(w)
-            else:
-                # Case 3: both present -> higher confidence wins.  The rule
-                # side's candidate is the best currently satisfied rule; if
-                # it wins, its warning is already active (or is (re)issued
-                # here), so the statistical warning is suppressed.
-                rule_conf = best.confidence if best is not None else 0.0
-                if stat_conf > rule_conf:
-                    w = self._emit_stat(t, category, stat_conf)
-                    if w:
-                        out.append(w)
-                elif best is not None:
-                    w = self._emit_rule(t, best)
-                    if w:
-                        out.append(w)
-        elif best is not None:
-            # Case 1 with a fatal of a non-trigger category: the rule method
-            # covers what the statistical method cannot.
-            w = self._emit_rule(t, best)
-            if w:
-                out.append(w)
-        self._fatal_history.append(t)
-        if category in self.trigger_set:
-            self._trigger_history.append(t)
-        return out
-
-    def step_batch(
-        self,
-        times: np.ndarray,
-        subcat_ids: np.ndarray,
-        fatal_mask: np.ndarray,
-        categories: Sequence[MainCategory],
-    ) -> list[FailureWarning]:
-        """Process a column batch of events; returns all warnings raised.
-
-        The batched fast path of :meth:`step`: semantically identical (the
-        equivalence suite in ``tests/serve`` enforces element-for-element
-        equality with the per-event path), but per-event dispatch overhead is
-        amortized across the batch — the columns are bulk-converted to Python
-        scalars once, every attribute/method lookup is hoisted out of the
-        loop, and the statistical candidate-confidence table is precomputed.
-
-        ``categories`` is the label-indexed category table: entry ``i`` is
-        the :class:`MainCategory` of subcategory id ``i`` (only consulted for
-        fatal arrivals).  Time-order validation happens once, vectorized,
-        instead of per event.
+        The store's labels are mapped into the stream's item space by name
+        once (:func:`~repro.mining.rules.item_ids_for`), the columns are
+        bulk-converted to Python scalars, and every attribute and method
+        lookup is hoisted out of the per-event loop.  Time order is
+        validated once, vectorized.
         """
-        times = np.asarray(times, dtype=np.int64)
-        n = len(times)
+        n = len(store)
         if n == 0:
             return []
+        times = store.times
         late = np.flatnonzero(np.diff(times) < 0) if n > 1 else np.empty(0)
         if late.size:
             i = int(late[0]) + 1
@@ -260,14 +162,15 @@ class MetaStream:
                 f"({int(times[0])} < {self._last_time})"
             )
         t_list = times.tolist()
-        sc_list = np.asarray(subcat_ids).tolist()
-        fatal_list = np.asarray(fatal_mask, dtype=bool).tolist()
+        item_list = item_ids_for(store, self._item_index, self._unseen).tolist()
+        fatal_list = store.fatal_mask().tolist()
 
         out: list[FailureWarning] = []
         out_append = out.append
         w = self.w
         stat_hi = self.stat_hi
         trigger_set = self.trigger_set
+        categories = self._categories
         matcher = self._matcher
         matcher_add = matcher.add
         matcher_remove = matcher.remove
@@ -287,8 +190,9 @@ class MetaStream:
         emit_rule = self._emit_rule
         emit_stat = self._emit_stat
 
-        for t, sc, is_fatal in zip(t_list, sc_list, fatal_list):
-            # _advance, inlined.
+        for t, item, is_fatal in zip(t_list, item_list, fatal_list):
+            # Slide the windows: the rule window over the last W seconds,
+            # the fatal and trigger histories over the statistical band.
             cutoff = t - w
             while window_events and window_events[0][0] < cutoff:
                 matcher_remove(win_popleft()[1])
@@ -299,12 +203,16 @@ class MetaStream:
                 trigger_popleft()
 
             if not is_fatal:
-                win_append((t, sc))
-                if matcher_add(sc):
+                win_append((t, item))
+                # The matcher keeps the best satisfied rule incrementally
+                # (lazy satisfied-index heap) instead of rescanning rules.
+                if matcher_add(item):
                     best = best_satisfied()
                     if best is not None:
                         if fatal_history:
-                            # Case 3 at a non-fatal arrival (see step()).
+                            # Case 3 at a non-fatal arrival: defer to the
+                            # statistical method only if one of its warnings
+                            # is actually active and more confident.
                             active = 0.0
                             for end, c in stat_conf_until:
                                 if t <= end and c > active:
@@ -314,24 +222,33 @@ class MetaStream:
                                 if warning:
                                     out_append(warning)
                         else:
+                            # Case 1: only non-fatal context.
                             warning = emit_rule(t, best)
                             if warning:
                                 out_append(warning)
                 continue
 
-            # Fatal arrival: statistical trigger point.
-            category = categories[sc]
+            # Fatal arrival: the statistical method's trigger point.
+            category = categories[item]
             stat_conf = stat_conf_map[category]
             if stat_conf is not None and not trigger_history:
+                # The learned pattern is "trigger-category failure, then more
+                # failures"; a trigger with no trigger-category history is
+                # the potential *start* of a pattern, not evidence of one.
                 stat_conf = None
             nonfatal_present = has_observed()
             best = best_satisfied() if nonfatal_present else None
             if stat_conf is not None:
                 if not nonfatal_present:
+                    # Case 2: only fatal context -> statistical method.
                     warning = emit_stat(t, category, stat_conf)
                     if warning:
                         out_append(warning)
                 else:
+                    # Case 3: both present -> higher confidence wins.  The
+                    # rule side's candidate is the best currently satisfied
+                    # rule; if it wins, its warning is already active (or is
+                    # (re)issued here), so the statistical one is suppressed.
                     rule_conf = best.confidence if best is not None else 0.0
                     if stat_conf > rule_conf:
                         warning = emit_stat(t, category, stat_conf)
@@ -342,6 +259,8 @@ class MetaStream:
                         if warning:
                             out_append(warning)
             elif best is not None:
+                # Case 1 with a fatal of a non-trigger category: the rule
+                # method covers what the statistical method cannot.
                 warning = emit_rule(t, best)
                 if warning:
                     out_append(warning)
@@ -436,19 +355,11 @@ class MetaLearner(Predictor):
         )
 
     def predict(self, events: EventStore) -> list[FailureWarning]:
-        """Drive the dispatch stream over a whole store (batched path)."""
+        """Drive a fresh dispatch stream over a whole store."""
         obs = get_registry()
         stream = self.stream()
-        warnings: list[FailureWarning] = []
-        if len(events) == 0:
-            self.dispatch_counts = dict(stream.dispatch_counts)
-            return warnings
         with obs.span("phase3.dispatch"):
-            clf = self.statistical.classifier
-            cat_table = [clf.category_of_label(n) for n in events.subcat_table]
-            warnings = stream.step_batch(
-                events.times, events.subcat_ids, events.fatal_mask(), cat_table
-            )
+            warnings = stream.detect(events)
         self.dispatch_counts = dict(stream.dispatch_counts)
         # Which base method each emitted warning came from — the paper's
         # case-1/2/3 coverage dispatch made visible per run.

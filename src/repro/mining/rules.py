@@ -16,6 +16,11 @@ highest-confidence rule observed (Step 6).
 it maintains the set of items present in the sliding observation window and
 reports rules the moment their body becomes fully observed — O(rules
 containing the arriving item) per event, not O(all rules).
+
+Rule items are ids into the *training* store's label table
+(:attr:`RuleSet.item_names`).  Any other store interns its labels in its own
+order, so every prediction path maps a store into the model's item space by
+name first, through :func:`item_ids_for`.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.mining.apriori import apriori
 from repro.mining.fptree import fpgrowth
 from repro.mining.transactions import EventSetDB
 from repro.obs import get_registry
+from repro.ras.store import UNCLASSIFIED, EventStore
 from repro.util.validation import check_fraction
 
 #: Miner registry: both produce identical itemset->count tables.
@@ -262,6 +270,10 @@ class RuleSet:
     ) -> None:
         self.rules: list[Rule] = list(rules)
         self.item_names: list[str] = list(item_names)
+        #: Item name -> item id, for mapping other stores' labels by name.
+        self.item_index: dict[str, int] = {
+            name: i for i, name in enumerate(self.item_names)
+        }
         self.fatal_items = fatal_items
         self._by_item: dict[int, list[int]] = defaultdict(list)
         for idx, rule in enumerate(self.rules):
@@ -298,6 +310,28 @@ class RuleSet:
         """Figure-3 style listing of the top rules."""
         rules = self.rules if limit is None else self.rules[:limit]
         return "\n".join(r.format(self.item_names) for r in rules)
+
+
+def item_ids_for(
+    store: EventStore, item_index: Mapping[str, int], unseen: int
+) -> np.ndarray:
+    """A classified store's subcategory column, in a model's item space.
+
+    Labels are matched by *name* through ``item_index`` (one pass over the
+    store's small label table, then one fancy-index over the rows), so the
+    result does not depend on the order in which the store interned its
+    labels.  A label ``item_index`` lacks maps to ``unseen``.
+    """
+    if len(store) and bool(np.any(store.subcat_ids == UNCLASSIFIED)):
+        raise ValueError(
+            "store has unclassified rows; run the Phase-1 pipeline first"
+        )
+    remap = np.array(
+        [item_index.get(name, unseen) for name in store.subcat_table]
+        or [unseen],
+        dtype=np.int64,
+    )
+    return remap[store.subcat_ids]
 
 
 class RuleMatcher:

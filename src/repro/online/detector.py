@@ -1,183 +1,68 @@
-"""Event-at-a-time failure detection (the daemon-facing API).
+"""Online failure detection with causal warning resolution (the daemon API).
 
-:class:`OnlineDetector` wraps a fitted :class:`~repro.meta.stacked.MetaLearner`
-(or its :class:`~repro.meta.stacked.MetaStream`) behind a feed interface that
-accepts raw :class:`~repro.ras.events.RasEvent` objects: each event is
-classified on arrival and pushed through the dispatch state machine, and any
-warnings raised by it are returned immediately.  :meth:`OnlineDetector.feed_batch`
-and :meth:`OnlineDetector.feed_store` are the columnar fast paths — same
-warnings, amortized dispatch (see ``docs/serving.md``).
+:class:`OnlineSession` holds a fitted :class:`~repro.meta.stacked.MetaLearner`'s
+dispatch stream (:class:`~repro.meta.stacked.MetaStream`) and feeds it
+classified stores chunk by chunk; the warnings each chunk raised are returned
+immediately.  Its output over a stream equals ``meta.predict(store)`` over the
+whole store (same dispatch loop underneath), for any chunking.
 
-:class:`OnlineSession` adds real-time *resolution*: it matches warnings
-against the failures that subsequently arrive, expiring horizons as the
-clock advances, and maintains the counters an operator dashboard would show
-(caught/missed failures, false alarms, lead times).  Resolution is causal —
-a warning is only counted as a false alarm once its horizon has fully
-elapsed without a failure — and runs on the heap-based
+The session also *resolves* warnings: it matches them against the failures
+that subsequently arrive, expiring horizons as the clock advances, and
+maintains the counters an operator dashboard would show (caught/missed
+failures, false alarms, lead times).  Resolution is causal — a warning is
+only counted as a false alarm once its horizon has fully elapsed without a
+failure — and runs on the heap-based
 :class:`~repro.online.resolution.WarningResolver` (O(log P) amortized per
 event in the pending-warning count P).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.meta.stacked import MetaLearner, MetaStream
 from repro.online.resolution import SessionStats, WarningResolver
 from repro.predictors.base import FailureWarning
-from repro.ras.events import RasEvent
-from repro.ras.store import UNCLASSIFIED, EventStore
-from repro.taxonomy.classifier import TaxonomyClassifier
+from repro.ras.store import EventStore
 
-__all__ = ["OnlineDetector", "OnlineSession", "SessionStats"]
+__all__ = ["OnlineSession", "SessionStats"]
 
 
-class OnlineDetector:
-    """Streaming front end of a fitted meta-learner.
-
-    Feed events in time order with :meth:`feed`; each call returns the
-    warnings that event raised.  Output over a stream equals
-    ``meta.predict(store)`` over the equivalent store (same dispatch state
-    machine underneath).  :meth:`feed_batch` accepts whole column batches in
-    the classifier's label space; :meth:`feed_store` replays a classified
-    :class:`~repro.ras.store.EventStore` directly.
-    """
-
-    def __init__(self, meta: MetaLearner) -> None:
-        if not meta.is_fitted:
-            raise ValueError("MetaLearner must be fitted before going online")
-        self.meta = meta
-        self.classifier: TaxonomyClassifier = meta.statistical.classifier
-        self._stream: MetaStream = meta.stream()
-        self._label_index = {
-            name: i for i, name in enumerate(self.classifier.label_names)
-        }
-        #: Label id -> main category, hoisted for the batch path.
-        self._category_table = [
-            self.classifier.category_of_label(name)
-            for name in self.classifier.label_names
-        ]
-        self.events_seen = 0
-
-    @property
-    def dispatch_counts(self) -> dict[str, int]:
-        """Warnings emitted per base method so far."""
-        return dict(self._stream.dispatch_counts)
-
-    def feed(self, event: RasEvent) -> list[FailureWarning]:
-        """Classify and process one incoming RAS event."""
-        label = event.subcategory or self.classifier.classify(event.entry_data)
-        subcat_id = self._label_index.get(label)
-        if subcat_id is None:
-            # Unknown labels are treated as the classifier's fallback bucket.
-            subcat_id = self._label_index[self.classifier.label_names[-1]]
-            label = self.classifier.label_names[-1]
-        category = self.classifier.category_of_label(label)
-        is_fatal = event.is_fatal
-        self.events_seen += 1
-        return self._stream.step(event.time, subcat_id, is_fatal, category)
-
-    def feed_batch(
-        self,
-        times: np.ndarray,
-        subcat_ids: np.ndarray,
-        fatal_mask: np.ndarray,
-        categories=None,
-    ) -> list[FailureWarning]:
-        """Process a column batch; returns all warnings it raised, in order.
-
-        ``subcat_ids`` must be in the *classifier's* label space (use
-        :meth:`feed_store` for raw stores, which remaps the store's label
-        table first).  ``categories`` is the label-indexed category table and
-        defaults to the classifier's own; output is element-for-element
-        identical to calling :meth:`feed` per event.
-        """
-        if categories is None:
-            categories = self._category_table
-        warnings = self._stream.step_batch(
-            times, subcat_ids, fatal_mask, categories
-        )
-        self.events_seen += len(times)
-        return warnings
-
-    def label_ids_for(self, store: EventStore) -> np.ndarray:
-        """Map a classified store's subcategory column to classifier label ids.
-
-        Labels the classifier never saw fall back to its catch-all bucket —
-        the same policy :meth:`feed` applies per event, vectorized over the
-        store's (small) label table instead of per row.
-        """
-        if len(store) and bool(np.any(store.subcat_ids == UNCLASSIFIED)):
-            raise ValueError(
-                "store has unclassified rows; run the Phase-1 pipeline first"
-            )
-        fallback = self._label_index[self.classifier.label_names[-1]]
-        remap = np.array(
-            [self._label_index.get(name, fallback) for name in store.subcat_table]
-            or [fallback],
-            dtype=np.int64,
-        )
-        return remap[store.subcat_ids]
-
-    def feed_store(
-        self, store: EventStore, chunk_events: Optional[int] = None
-    ) -> list[FailureWarning]:
-        """Replay a whole classified store through the batch path.
-
-        ``chunk_events`` bounds the working set: the store is consumed in
-        contiguous zero-copy slices of at most that many rows (the batch
-        path is per-event equivalent, so any chunking yields the identical
-        warning stream).  ``None`` feeds the store as one batch.
-        """
-        if len(store) == 0:
-            return []
-        if chunk_events is None:
-            return self.feed_batch(
-                store.times, self.label_ids_for(store), store.fatal_mask()
-            )
-        warnings: list[FailureWarning] = []
-        for chunk in store.iter_chunks(chunk_events):
-            warnings.extend(
-                self.feed_batch(
-                    chunk.times, self.label_ids_for(chunk), chunk.fatal_mask()
-                )
-            )
-        return warnings
+def _check_fitted(meta: MetaLearner) -> None:
+    if not meta.is_fitted:
+        raise ValueError("MetaLearner must be fitted before going online")
 
 
 class OnlineSession:
-    """Detector plus causal warning resolution.
+    """A fitted model's dispatch stream plus causal warning resolution.
 
-    ``process`` returns the warnings raised by the event; resolution state
-    is read off :attr:`stats` at any time.  A warning becomes a *hit* the
-    first time a failure lands in its horizon and a *false alarm* when an
-    event arrives after its horizon with no failure having landed.
-    :meth:`process_store` is the batched equivalent — identical stats,
-    columnar feed.
+    :meth:`process_store` returns the warnings raised by a classified chunk;
+    resolution state is read off :attr:`stats` at any time.  A warning
+    becomes a *hit* the first time a failure lands in its horizon and a
+    *false alarm* when an event arrives after its horizon with no failure
+    having landed.
     """
 
     def __init__(self, meta: MetaLearner) -> None:
-        self.detector = OnlineDetector(meta)
+        _check_fitted(meta)
+        self.meta = meta
+        self._stream: MetaStream = meta.stream()
         self.resolver = WarningResolver()
 
     def swap_model(self, meta: MetaLearner) -> None:
         """Install a new fitted model at a warning-safe barrier.
 
-        Call *between* events (every per-event/per-batch entry point is
-        atomic, so any inter-event point is a barrier).  The detector is
-        rebuilt from scratch — the new model starts from empty window state,
-        exactly as a cold restart would — while the resolver keeps running,
-        so warnings the old model issued still resolve against the events
-        that follow.  The emitted warning stream is therefore identical,
-        element for element, to stopping this session at the barrier and
+        Call *between* chunks (each :meth:`process_store` call is atomic, so
+        any inter-chunk point is a barrier).  The dispatch stream is rebuilt
+        from scratch — the new model starts from empty window state, exactly
+        as a cold restart would — while the resolver keeps running, so
+        warnings the old model issued still resolve against the events that
+        follow.  The emitted warning stream is therefore identical, element
+        for element, to stopping this session at the barrier and
         cold-starting the new model on the remaining stream (tested in
         ``tests/lifecycle/test_swap.py``).
         """
-        events_seen = self.detector.events_seen
-        self.detector = OnlineDetector(meta)
-        self.detector.events_seen = events_seen
+        _check_fitted(meta)
+        self.meta = meta
+        self._stream = meta.stream()
 
     @property
     def stats(self) -> SessionStats:
@@ -189,44 +74,19 @@ class OnlineSession:
         """Warnings whose horizon has not fully elapsed yet."""
         return self.resolver.pending_count
 
-    def process(self, event: RasEvent) -> list[FailureWarning]:
-        """Feed one event; resolve outstanding warnings against it."""
-        resolver = self.resolver
-        resolver.advance(event.time)
-        resolver.stats.events += 1
-        if event.is_fatal:
-            resolver.observe_failure(event.time)
-        raised = self.detector.feed(event)
-        for w in raised:
-            resolver.add(w)
-        return raised
+    def process_store(self, store: EventStore) -> list[FailureWarning]:
+        """Feed a classified chunk; returns the warnings it raised, in order.
 
-    def process_store(
-        self, store: EventStore, chunk_events: Optional[int] = None
-    ) -> list[FailureWarning]:
-        """Feed a whole classified store through the batched path.
-
-        Detection runs once over the columns (:meth:`OnlineDetector.feed_store`);
-        resolution then replays the merged event/warning timeline.  A warning
-        issued at time ``t`` never covers events at ``t`` (horizons start
-        strictly later), so enqueueing each warning just before the first
-        event after its issue time reproduces the per-event interleaving
-        exactly — :attr:`stats` comes out identical to calling
-        :meth:`process` per event.
-
-        With ``chunk_events`` the store is processed in contiguous slices
-        of at most that many rows, bounding the working set for columnar
-        stores.  Boundary warnings enqueue at the end of their chunk rather
-        than mid-merge, which is observationally identical: a warning's
-        horizon opens strictly after its issue time, so it is inert for any
-        same-timestamp event either way.
+        Detection runs once over the columns (:meth:`MetaStream.detect`);
+        resolution then replays the merged event/warning timeline.  A
+        warning issued at time ``t`` never covers events at ``t`` (horizons
+        start strictly later), so enqueueing each warning just before the
+        first event after its issue time reproduces the per-event
+        interleaving exactly.  Warnings issued at a chunk's last timestamp
+        enqueue at the end of the chunk, which is observationally identical
+        for the same reason — so :attr:`stats` does not depend on chunking.
         """
-        if chunk_events is not None:
-            chunked: list[FailureWarning] = []
-            for chunk in store.iter_chunks(chunk_events):
-                chunked.extend(self.process_store(chunk))
-            return chunked
-        warnings = self.detector.feed_store(store)
+        warnings = self._stream.detect(store)
         resolver = self.resolver
         stats = resolver.stats
         advance = resolver.advance

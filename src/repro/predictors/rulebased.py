@@ -18,7 +18,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.mining.rules import Rule, RuleMatcher, RuleSet, generate_rules
+from repro.mining.rules import (
+    Rule,
+    RuleMatcher,
+    RuleSet,
+    generate_rules,
+    item_ids_for,
+)
 from repro.mining.transactions import build_event_sets
 from repro.obs import get_registry
 from repro.predictors.base import FailureWarning, Predictor
@@ -149,8 +155,10 @@ def _match_stream(
 ) -> list[FailureWarning]:
     """Streaming matcher behind :meth:`RuleBasedPredictor.predict`.
 
-    The meta-learner does not call this: ``MetaStream.step_batch`` runs its
-    own loop over the same :class:`RuleMatcher`.
+    The meta-learner does not call this: ``MetaStream.detect`` runs its
+    own loop over the same :class:`RuleMatcher`.  Store labels are mapped
+    into the rule items by name; a label the training store never had is
+    given an id no rule body contains.
 
     Maintains the non-fatal items inside the trailing ``window`` seconds; on
     each arrival that completes at least one rule, emits a warning for the
@@ -165,7 +173,9 @@ def _match_stream(
     # Hoisted bindings: one Python-level loop per event is the serving hot
     # path, so bulk-convert the columns once and bind methods to locals.
     times = events.times.tolist()
-    subcats = events.subcat_ids.tolist()
+    subcats = item_ids_for(
+        events, ruleset.item_index, unseen=len(ruleset.item_names)
+    ).tolist()
     fatal_list = events.fatal_mask().tolist()
     matcher_add = matcher.add
     matcher_remove = matcher.remove

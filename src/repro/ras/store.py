@@ -473,7 +473,7 @@ class EventStore:
         """Yield contiguous sub-stores of at most ``chunk_events`` rows.
 
         Chunks are zero-copy slices sharing the parent's intern tables, so
-        streaming consumers (phase1, ``feed_store``, replay) touch one
+        streaming consumers (phase1, ``process_store``, replay) touch one
         chunk's pages at a time while ids stay comparable across chunks.
         """
         if chunk_events <= 0:

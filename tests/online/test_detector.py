@@ -1,14 +1,20 @@
-"""Tests for repro.online (streaming detector and session)."""
+"""Tests for repro.online (the chunk-at-a-time session)."""
 
 import math
 
 import pytest
 
 from repro.meta.stacked import MetaLearner
-from repro.online.detector import OnlineDetector, OnlineSession
+from repro.online.detector import OnlineSession
 from repro.ras.fields import Severity
+from repro.ras.store import EventStore
+from repro.taxonomy.classifier import TaxonomyClassifier
 from repro.util.timeutil import MINUTE
 from tests.conftest import make_event
+
+
+def _classified(*events):
+    return TaxonomyClassifier().classify_store(EventStore.from_events(events))
 
 
 @pytest.fixture(scope="module")
@@ -22,14 +28,14 @@ def fitted_meta(anl_events):
 
 
 def test_online_equals_offline(fitted_meta):
-    """The streaming detector reproduces batch predict() exactly."""
+    """Streaming one event per chunk reproduces batch predict() exactly."""
     meta, test = fitted_meta
     offline = meta.predict(test)
 
-    detector = OnlineDetector(meta)
+    session = OnlineSession(meta)
     online = []
-    for ev in test:
-        online.extend(detector.feed(ev))
+    for chunk in test.iter_chunks(1):
+        online.extend(session.process_store(chunk))
 
     assert len(online) == len(offline)
     for a, b in zip(online, offline):
@@ -37,37 +43,41 @@ def test_online_equals_offline(fitted_meta):
             b.issued_at, b.horizon_start, b.horizon_end, b.detail
         )
         assert a.confidence == pytest.approx(b.confidence)
-    assert detector.events_seen == len(test)
+    assert session.stats.events == len(test)
 
 
 def test_online_requires_fitted():
     with pytest.raises(ValueError, match="fitted"):
-        OnlineDetector(MetaLearner())
+        OnlineSession(MetaLearner())
 
 
 def test_online_rejects_time_travel(fitted_meta):
     meta, test = fitted_meta
-    detector = OnlineDetector(meta)
-    detector.feed(make_event(time=1_200_000_000))
+    session = OnlineSession(meta)
+    session.process_store(_classified(make_event(time=1_200_000_000)))
     with pytest.raises(ValueError, match="time order"):
-        detector.feed(make_event(time=1_199_999_000))
+        session.process_store(_classified(make_event(time=1_199_999_000)))
 
 
 def test_online_handles_unseen_label(fitted_meta):
-    """A message the training vocabulary never saw must not crash."""
+    """Text the catalog does not match, and a label the model never saw,
+    must not crash: both count as the fallback label."""
     meta, _ = fitted_meta
-    detector = OnlineDetector(meta)
-    warnings = detector.feed(
+    session = OnlineSession(meta)
+    unmatched = _classified(
         make_event(time=1_200_000_000, entry="never seen before text 42")
     )
-    assert warnings == []
+    unknown = EventStore.from_events_in_memory(
+        [make_event(time=1_200_000_001).with_subcategory("never-seen-label")]
+    )
+    assert session.process_store(unmatched) == []
+    assert session.process_store(unknown) == []
 
 
 def test_session_counts_consistent(fitted_meta):
     meta, test = fitted_meta
     session = OnlineSession(meta)
-    for ev in test:
-        session.process(ev)
+    session.process_store(test)
     stats = session.finish()
 
     assert stats.events == len(test)
@@ -86,8 +96,7 @@ def test_session_matches_batch_metrics(fitted_meta):
 
     meta, test = fitted_meta
     session = OnlineSession(meta)
-    for ev in test:
-        session.process(ev)
+    session.process_store(test)
     stats = session.finish()
 
     offline = match_warnings(meta.predict(test), test).metrics
@@ -104,16 +113,18 @@ def test_session_hit_and_false_alarm_lifecycle(fitted_meta):
 
     # Drive a storm: two network fatals -> statistical warning at the 2nd.
     net = "uncorrectable torus error: retransmission limit exceeded"
-    session.process(make_event(time=base, severity=Severity.FAILURE, entry=net))
-    raised = session.process(
-        make_event(time=base + 10 * MINUTE, severity=Severity.FAILURE, entry=net)
+    session.process_store(
+        _classified(make_event(time=base, severity=Severity.FAILURE, entry=net))
     )
+    raised = session.process_store(_classified(
+        make_event(time=base + 10 * MINUTE, severity=Severity.FAILURE, entry=net)
+    ))
     assert len(raised) == 1
 
     # A third failure inside the horizon: warning resolves as hit.
-    session.process(
+    session.process_store(_classified(
         make_event(time=base + 25 * MINUTE, severity=Severity.FAILURE, entry=net)
-    )
+    ))
     stats = session.finish()
     assert stats.hits >= 1
     assert stats.caught_failures >= 1

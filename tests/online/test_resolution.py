@@ -1,72 +1,19 @@
 """Tests for repro.online.resolution (heap-based warning resolution).
 
 The contract is *bit-identical semantics* to the seed's deque implementation
-— a faithful copy of which lives here as the reference — plus a complexity
+— a faithful copy of which lives in ``tests/oracles.py`` — plus a complexity
 bound: resolution work must stay linear in stream length even with a large
 pending backlog (the deque version was quadratic).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional
-
-import numpy as np
 import pytest
 
 from repro.online.resolution import SessionStats, WarningResolver
 from repro.predictors.base import FailureWarning
 from repro.util.rng import as_generator
-
-
-class LegacyDequeResolver:
-    """The seed ``OnlineSession`` resolution logic, verbatim (the oracle)."""
-
-    def __init__(self) -> None:
-        self.stats = SessionStats()
-        self._pending: deque[tuple[FailureWarning, bool]] = deque()
-
-    def _expire(self, now: int) -> None:
-        keep: deque[tuple[FailureWarning, bool]] = deque()
-        for warning, hit in self._pending:
-            if warning.horizon_end < now:
-                if hit:
-                    self.stats.hits += 1
-                else:
-                    self.stats.false_alarms += 1
-            else:
-                keep.append((warning, hit))
-        self._pending = keep
-
-    def process(self, now: int, is_fatal: bool, raised: list[FailureWarning]):
-        self._expire(now)
-        self.stats.events += 1
-        if is_fatal:
-            self.stats.failures += 1
-            covered = False
-            earliest_issue: Optional[int] = None
-            updated: deque[tuple[FailureWarning, bool]] = deque()
-            for warning, hit in self._pending:
-                if warning.covers(now):
-                    hit = True
-                    covered = True
-                    if earliest_issue is None or warning.issued_at < earliest_issue:
-                        earliest_issue = warning.issued_at
-                updated.append((warning, hit))
-            self._pending = updated
-            if covered:
-                self.stats.caught_failures += 1
-                assert earliest_issue is not None
-                self.stats.lead_seconds.append(now - earliest_issue)
-            else:
-                self.stats.missed_failures += 1
-        for w in raised:
-            self.stats.warnings += 1
-            self._pending.append((w, False))
-
-    def finish(self) -> SessionStats:
-        self._expire(now=2**62)
-        return self.stats
+from tests.oracles import LegacyDequeResolver
 
 
 def drive(resolver: WarningResolver, stream) -> SessionStats:

@@ -37,6 +37,7 @@ from repro.serve.daemon import (
 from repro.serve.protocol import decode_frame, encode_frame, event_to_dict
 from repro.serve.streams import StreamChannel
 from repro.util.timeutil import MINUTE
+from tests.oracles import reference_pool_stats
 
 CONFIG = DaemonConfig(port=0, queue_bound=512, shards=2, chunk_events=64)
 
@@ -51,11 +52,8 @@ def fitted(anl_events):
 
 
 def oracle_stats(meta, events, *, shards=CONFIG.shards, key=CONFIG.key):
-    """Reference accounting: per-event daemon-mode replay, finalized."""
-    pool = DetectorPool(meta, shards=shards, key=key)
-    for ev in events:
-        pool.process(ev)
-    return pool.finish()
+    """Reference accounting: per-event routing and dispatch, finalized."""
+    return reference_pool_stats(meta, events, shards=shards, key=key)
 
 
 async def send_frames(port, frames):

@@ -1,9 +1,9 @@
-"""Equivalence suite: batch feed == per-event feed == offline predict.
+"""Equivalence suite: chunked feed == per-event reference == offline predict.
 
-The serving fast paths are only admissible because they are *bit-identical*
-to the reference paths; these tests enforce that element-for-element, on
-both synthetic-log profiles (ANL and SDSC event mixes stress different
-dispatch cases).
+The one detection loop (``MetaStream.detect``) is only admissible because it
+is *bit-identical* to the per-event reference dispatch in ``tests/oracles.py``;
+these tests enforce that element-for-element, on both synthetic-log profiles
+(ANL and SDSC event mixes stress different dispatch cases).
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro.meta.stacked import MetaLearner
-from repro.online import OnlineDetector, OnlineSession
+from repro.online import OnlineSession
 from repro.util.timeutil import MINUTE
+from tests.oracles import ReferenceSession, reference_detect
 
 
 def _fit_split(events):
@@ -39,71 +40,56 @@ def _assert_same_warnings(actual, expected):
 
 
 def test_feed_store_equals_per_event_feed(fitted):
+    """The batch loop over a whole store == the per-event reference dispatch."""
     meta, test = fitted
-    per_event = OnlineDetector(meta)
-    reference = []
-    for ev in test:
-        reference.extend(per_event.feed(ev))
-
-    batched = OnlineDetector(meta)
-    _assert_same_warnings(batched.feed_store(test), reference)
-    assert batched.events_seen == per_event.events_seen == len(test)
+    reference = reference_detect(meta.stream(), test)
+    _assert_same_warnings(OnlineSession(meta).process_store(test), reference)
 
 
 def test_feed_store_equals_offline_predict(fitted):
     meta, test = fitted
     offline = meta.predict(test)
-    _assert_same_warnings(OnlineDetector(meta).feed_store(test), offline)
+    _assert_same_warnings(OnlineSession(meta).process_store(test), offline)
 
 
 def test_feed_batch_chunking_is_invariant(fitted):
     """Chunk boundaries must not change the output (state carries over)."""
     meta, test = fitted
-    whole = OnlineDetector(meta).feed_store(test)
+    whole = OnlineSession(meta).process_store(test)
 
-    chunked = OnlineDetector(meta)
-    label_ids = chunked.label_ids_for(test)
-    fatal = test.fatal_mask()
+    chunked = OnlineSession(meta)
     out = []
-    for lo in range(0, len(test), 17):
-        hi = min(lo + 17, len(test))
-        out.extend(
-            chunked.feed_batch(test.times[lo:hi], label_ids[lo:hi], fatal[lo:hi])
-        )
+    for chunk in test.iter_chunks(17):
+        out.extend(chunked.process_store(chunk))
     _assert_same_warnings(out, whole)
 
 
 def test_feed_batch_rejects_time_disorder(fitted):
     meta, test = fitted
-    detector = OnlineDetector(meta)
-    times = np.array([1000, 999], dtype=np.int64)
-    ids = np.zeros(2, dtype=np.int64)
-    fatal = np.zeros(2, dtype=bool)
+    disordered = test.select(np.array([len(test) - 1, 0]))
     with pytest.raises(ValueError, match="time order"):
-        detector.feed_batch(times, ids, fatal)
+        meta.stream().detect(disordered)
 
 
 def test_feed_batch_rejects_rewind_across_batches(fitted):
     meta, test = fitted
-    detector = OnlineDetector(meta)
-    ids = np.zeros(1, dtype=np.int64)
-    fatal = np.zeros(1, dtype=bool)
-    detector.feed_batch(np.array([5000], dtype=np.int64), ids, fatal)
+    stream = meta.stream()
+    stream.detect(test.select(slice(len(test) - 1, len(test))))
     with pytest.raises(ValueError, match="time order"):
-        detector.feed_batch(np.array([4000], dtype=np.int64), ids, fatal)
+        stream.detect(test.select(slice(0, 1)))
 
 
 def test_feed_store_empty_store_is_noop(fitted):
     meta, test = fitted
-    detector = OnlineDetector(meta)
-    assert detector.feed_store(test.select(np.array([], dtype=int))) == []
-    assert detector.events_seen == 0
+    session = OnlineSession(meta)
+    assert session.process_store(test.select(np.array([], dtype=int))) == []
+    assert session.stats.events == 0
 
 
 def test_session_process_store_equals_per_event_process(fitted):
     """SessionStats (every counter, including lead times) must match."""
     meta, test = fitted
-    per_event = OnlineSession(meta)
+    per_event = ReferenceSession(meta)
     reference = []
     for ev in test:
         reference.extend(per_event.process(ev))
@@ -111,6 +97,6 @@ def test_session_process_store_equals_per_event_process(fitted):
     batched = OnlineSession(meta)
     warnings = batched.process_store(test)
     _assert_same_warnings(warnings, reference)
-    assert batched.stats == per_event.stats
-    assert batched.pending_count == per_event.pending_count
+    assert batched.stats == per_event.resolver.stats
+    assert batched.pending_count == per_event.resolver.pending_count
     assert batched.finish() == per_event.finish()

@@ -11,6 +11,7 @@ from repro.ras.store import EventStore
 from repro.serve import DetectorPool, midplane_of, shard_ids, shard_of_key
 from repro.util.rng import as_generator
 from repro.util.timeutil import MINUTE
+from tests.oracles import reference_pool_stats, reference_shard
 
 
 @pytest.fixture(scope="module")
@@ -34,19 +35,17 @@ def test_midplane_of_extracts_prefix():
 
 
 def test_shard_ids_midplane_matches_per_event_routing(fitted):
-    meta, test = fitted
-    pool = DetectorPool(meta, shards=4, key="midplane")
+    _, test = fitted
     assignment = shard_ids(test, "midplane", 4)
     for i, ev in enumerate(test):
-        assert pool.shard_of(ev) == assignment[i]
+        assert reference_shard(ev, "midplane", 4) == assignment[i]
 
 
 def test_shard_ids_job_matches_per_event_routing(fitted):
-    meta, test = fitted
-    pool = DetectorPool(meta, shards=3, key="job")
+    _, test = fitted
     assignment = shard_ids(test, "job", 3)
     for i, ev in enumerate(test):
-        assert pool.shard_of(ev) == assignment[i]
+        assert reference_shard(ev, "job", 3) == assignment[i]
 
 
 def test_shard_ids_are_in_range_and_deterministic(fitted):
@@ -187,11 +186,14 @@ def test_daemon_mode_matches_replay(fitted):
     """Event-at-a-time routing reaches the same per-shard streams."""
     meta, test = fitted
     pool = DetectorPool(meta, shards=4, key="midplane")
-    for ev in test:
-        pool.process(ev)
+    for chunk in test.iter_chunks(1):
+        pool.process_store(chunk)
     daemon_stats = pool.finish()
     replay_stats = DetectorPool(meta, shards=4, key="midplane").replay(test).combined
     assert daemon_stats == replay_stats
+    assert daemon_stats == reference_pool_stats(
+        meta, test, shards=4, key="midplane"
+    )
 
 
 def test_replay_does_not_touch_daemon_sessions(fitted):

@@ -16,10 +16,18 @@ Flagged, inside a function whose name is one of the per-event entry points
 - ``list(...)`` with at least one positional argument (a copy/rebuild;
   the empty ``list()`` constructor is fine).
 
-Batch-granularity methods (``feed_batch``, ``process_store``, ...) are out
-of scope — one container build per *batch* is the design.  Genuinely
-per-event container needs (e.g. provably bounded size) can carry a
-``# repro-lint: disable=RL008`` waiver with a justifying comment.
+Detection itself is batch-only: ``MetaStream.detect`` is the one dispatch
+loop and ``OnlineSession``/``DetectorPool`` feed it whole chunks
+(``process_store``), which is out of scope — one container build per
+*batch* is the design.  The per-event methods that remain are the
+resolver's ``WarningResolver.advance``/``add``/``observe_failure``, run once
+per event of every chunk, and the dispatch's emit helpers
+``MetaStream._emit_rule``/``_emit_stat``, run per raised warning (they
+live in ``repro.meta``, outside the packages this rule scans).  The name
+list also keeps the removed per-event entry points, so none can come back
+with a rebuild in it.  Genuinely per-event container needs (e.g. provably
+bounded size) can carry a ``# repro-lint: disable=RL008`` waiver with a
+justifying comment.
 """
 
 from __future__ import annotations
@@ -34,9 +42,9 @@ from tools.repro_lint.registry import register
 if TYPE_CHECKING:
     from tools.repro_lint.engine import LintContext
 
-#: Method names that run once per *event* in the serving path.  Their batch
-#: counterparts (feed_batch, feed_store, process_store, step_batch) may
-#: build containers freely — once per batch is the point.
+#: Method names that run once per *event* in the serving path.  The batch
+#: entry points (process_store, MetaStream.detect) may build containers
+#: freely — once per batch is the point.
 PER_EVENT_METHODS = frozenset(
     {
         "step",
