@@ -119,19 +119,30 @@ class ActionEngine:
     ) -> None:
         """Absorb one chunk of events and the warnings raised over it."""
         self._pending.extend(warnings)
-        times = store.times
-        jobs = store.jobs
-        loc_ids = store.location_ids
         loc_table = store.location_table
-        fatal = store.fatal_mask()
-        for i in range(len(times)):
-            t = int(times[i])
-            self._decide_before(t)
-            self._expire_before(t)
-            location = loc_table[int(loc_ids[i])]
-            self.view.observe(t, location, int(jobs[i]))
-            if fatal[i]:
+        due = self._next_due()
+        for t, loc_id, job, fatal in zip(
+            store.times.tolist(),
+            store.location_ids.tolist(),
+            store.jobs.tolist(),
+            store.fatal_mask().tolist(),
+        ):
+            # Deciding and expiring are no-ops until t passes the earliest
+            # pending issue time or open deadline.
+            if t > due:
+                self._decide_before(t)
+                self._expire_before(t)
+                due = self._next_due()
+            location = loc_table[loc_id]
+            self.view.observe(t, location, job)
+            if fatal:
                 self._on_fatal(t, location)
+                due = self._next_due()
+
+    def _next_due(self) -> float:
+        """The earliest pending issue time or open deadline (inf if none)."""
+        due = [w.issued_at for w in self._pending] + [o.action.deadline for o in self._open]
+        return min(due, default=float("inf"))
 
     def finalize(self) -> Ledger:
         """Decide and settle everything still buffered; return the ledger."""

@@ -143,6 +143,7 @@ class StreamJobView:
         self._ttl = ttl_seconds
         self._nodes = nodes_per_midplane
         self._mp_index: Dict[str, int] = {}
+        self._loc_index: Dict[str, int] = {}  # memo: location -> midplane index
         self._jobs: Dict[int, _SeenJob] = {}
 
     def observe(self, time: float, location: str, job_id: int) -> None:
@@ -158,13 +159,12 @@ class StreamJobView:
             seen.midplanes.add(mp)
 
     def midplane_index(self, location: str) -> int:
-        if not location:
-            return -1
-        key = midplane_of(location)
-        idx = self._mp_index.get(key)
+        idx = self._loc_index.get(location)
         if idx is None:
-            idx = len(self._mp_index)
-            self._mp_index[key] = idx
+            if not location:
+                return -1
+            idx = self._mp_index.setdefault(midplane_of(location), len(self._mp_index))
+            self._loc_index[location] = idx
         return idx
 
     def n_midplanes(self) -> int:

@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.mining.rules import item_ids_for
 from repro.mining.transactions import build_tiled_windows
 from repro.predictors.base import FailureWarning, Predictor
 from repro.ras.store import EventStore
@@ -68,12 +69,15 @@ class BayesPredictor(Predictor):
         self._log_absent: Optional[np.ndarray] = None
         self._log_prior: Optional[np.ndarray] = None  # (2,)
         self._n_items: int = 0
+        #: Fit-time label name -> item id; stores map into it by name.
+        self._item_index: dict[str, int] = {}
 
     # -- training --------------------------------------------------------- #
 
     def fit(self, events: EventStore) -> "BayesPredictor":
         db = build_tiled_windows(events, window=self.window)
         self._n_items = len(db.item_names)
+        self._item_index = {name: i for i, name in enumerate(db.item_names)}
         n_items = self._n_items
         # Label window i by whether window i+1 contains a failure: the
         # predictor must act *before* the failure's window.
@@ -127,7 +131,9 @@ class BayesPredictor(Predictor):
         counts: dict[int, int] = {}
         active_until = -1
         times = events.times
-        subcats = events.subcat_ids
+        # Labels the fit never saw map past the tables, where they count
+        # as window contents but carry no evidence.
+        subcats = item_ids_for(events, self._item_index, unseen=self._n_items)
         fatal_mask = events.fatal_mask()
         for i in range(len(events)):
             t = int(times[i])

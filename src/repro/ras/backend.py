@@ -32,7 +32,8 @@ import atexit
 import os
 import shutil
 import tempfile
-from typing import Iterator, Optional, Protocol, Sequence, runtime_checkable
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -75,6 +76,14 @@ class InternTable:
             self.strings.append(s)
             self._index[s] = idx
         return idx
+
+    def intern_all(self, strings: Iterable[str]) -> list[int]:
+        """Ids of ``strings`` in order, interning new ones by first appearance."""
+        index = self._index
+        ids = [index.setdefault(s, len(index)) for s in strings]
+        if len(index) > len(self.strings):
+            self.strings.extend(islice(index, len(self.strings), None))
+        return ids
 
     def __getitem__(self, idx: int) -> str:
         return self.strings[idx]

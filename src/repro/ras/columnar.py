@@ -45,7 +45,7 @@ from repro.ras.backend import (
     InternTable,
 )
 from repro.ras.events import RasEvent
-from repro.ras.store import UNCLASSIFIED, EventStore
+from repro.ras.store import UNCLASSIFIED, EventBatch, EventStore
 
 #: Manifest schema version.
 FORMAT_VERSION = 1
@@ -112,8 +112,8 @@ class ColumnarWriter:
 
     Chunks are appended with :meth:`append` (an :class:`EventStore` slice;
     intern ids are remapped onto the writer's growing tables exactly as
-    :meth:`EventStore.concat` would) or :meth:`append_events` (raw event
-    objects, the live-ingestion path).  Every append is durably committed:
+    :meth:`EventStore.concat` would) or :meth:`append_batch` (raw rows in
+    arrival order, the live-ingestion path).  Every append is durably committed:
     column bytes are flushed before the manifest is atomically replaced, so
     readers always observe a consistent prefix.
 
@@ -215,8 +215,8 @@ class ColumnarWriter:
             }
         )
 
-    def append_events(self, events: Iterable[RasEvent]) -> int:
-        """Append raw event objects in arrival order (live-ingestion path).
+    def append_batch(self, batch: EventBatch) -> int:
+        """Append raw rows in arrival order (the live-ingestion path).
 
         No sorting happens here — the daemon's wire order is the record of
         arrival; the manifest's ``sorted`` flag reflects reality and
@@ -224,27 +224,13 @@ class ColumnarWriter:
         """
         if self._closed:
             raise StoreDirError("writer is closed")
-        events = list(events)
-        n = len(events)
-        if n == 0:
+        if len(batch) == 0:
             return 0
-        columns = {
-            name: np.empty(n, dtype=COLUMN_DTYPES[name]) for name in COLUMN_NAMES
-        }
-        locations = self._tables["locations"]
-        entries = self._tables["entries"]
-        subcats = self._tables["subcats"]
-        for i, ev in enumerate(events):
-            columns["times"][i] = ev.time
-            columns["severities"][i] = int(ev.severity)
-            columns["facilities"][i] = int(ev.facility)
-            columns["jobs"][i] = ev.job_id
-            columns["location_ids"][i] = locations.intern(ev.location)
-            columns["entry_ids"][i] = entries.intern(ev.entry_data)
-            columns["subcat_ids"][i] = (
-                UNCLASSIFIED if ev.subcategory is None else subcats.intern(ev.subcategory)
-            )
-        return self._append_columns(columns)
+        return self._append_columns(batch.columns(self._tables))
+
+    def append_events(self, events: Iterable[RasEvent]) -> int:
+        """:meth:`append_batch` for event objects."""
+        return self.append_batch(EventBatch.from_events(events))
 
     # ------------------------------------------------------------------ #
 

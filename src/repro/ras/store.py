@@ -31,7 +31,8 @@ Invariants
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,6 +63,80 @@ _SEVERITIES: dict[int, Severity] = {int(s): s for s in Severity}
 #: Backwards-compatible alias — the intern table now lives in
 #: :mod:`repro.ras.backend` so both backends and the columnar format share it.
 _InternTable = InternTable
+
+
+@dataclass(slots=True)
+class EventBatch:
+    """Raw RAS rows in arrival order, one Python list per attribute.
+
+    The staging form between a row producer (the daemon's wire decoder)
+    and the columnar world: batches are sliced and concatenated as lists,
+    then become an :class:`EventStore` (:meth:`EventStore.from_batch`) or a
+    columnar archive append in one step, with no per-row
+    :class:`RasEvent`.  ``facilities``/``severities`` hold enum members;
+    ``subcats`` holds a client-supplied label or ``None``.
+    """
+
+    times: list[int] = field(default_factory=list)
+    locations: list[str] = field(default_factory=list)
+    facilities: list[Facility] = field(default_factory=list)
+    severities: list[Severity] = field(default_factory=list)
+    entries: list[str] = field(default_factory=list)
+    jobs: list[int] = field(default_factory=list)
+    event_types: list[str] = field(default_factory=list)
+    subcats: list[Optional[str]] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def _lists(self) -> tuple[list, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __getitem__(self, key: slice) -> "EventBatch":
+        """Rows ``key`` (a slice) as a new batch."""
+        return EventBatch(*(column[key] for column in self._lists()))
+
+    @classmethod
+    def concat(cls, batches: Sequence["EventBatch"]) -> "EventBatch":
+        """The rows of ``batches``, one after the other."""
+        if len(batches) == 1:
+            return batches[0]
+        return cls(*(
+            [value for column in columns for value in column]
+            for columns in zip(*(b._lists() for b in batches))
+        ))
+
+    @classmethod
+    def from_events(cls, events: Iterable[RasEvent]) -> "EventBatch":
+        events = list(events)
+        # RasEvent's slots are its fields, in the order of this batch's lists.
+        return cls(*([getattr(ev, a) for ev in events] for a in RasEvent.__slots__))
+
+    def events(self) -> list[RasEvent]:
+        """The rows as event objects (API edges and tests, not hot paths)."""
+        return [RasEvent(*row) for row in zip(*self._lists())]
+
+    def columns(
+        self,
+        tables: Mapping[str, InternTable],
+        subcats: Optional[Sequence[Optional[str]]] = None,
+    ) -> dict[str, np.ndarray]:
+        """Schema columns of the rows, interning strings into ``tables``;
+        ``subcats`` (row order) overrides the batch's own labels."""
+        n = len(self)
+        intern = tables["subcats"].intern
+        names = self.subcats if subcats is None else subcats
+        return {
+            "times": np.array(self.times, dtype=np.int64),
+            "severities": np.fromiter(self.severities, np.int8, n),
+            "facilities": np.fromiter(self.facilities, np.int8, n),
+            "jobs": np.array(self.jobs, dtype=np.int64),
+            "location_ids": np.array(tables["locations"].intern_all(self.locations), np.int32),
+            "entry_ids": np.array(tables["entries"].intern_all(self.entries), np.int32),
+            "subcat_ids": np.array(
+                [UNCLASSIFIED if s is None else intern(s) for s in names], np.int32
+            ),
+        }
 
 
 def _column_property(name: str) -> property:
@@ -263,28 +338,25 @@ class EventStore:
         trip would be pure overhead, and for asyncio coroutines where it
         would block the event loop (RL013).
         """
-        events = list(events)
-        locations = InternTable()
-        entries = InternTable()
-        subcats = InternTable()
-        # One column at a time; IntEnum members convert to int8 faster
-        # through ``fromiter`` than through ``np.array`` of a list.
-        store = cls(
-            np.array([ev.time for ev in events], dtype=np.int64),
-            np.fromiter((ev.severity for ev in events), np.int8, len(events)),
-            np.fromiter((ev.facility for ev in events), np.int8, len(events)),
-            np.array([ev.job_id for ev in events], dtype=np.int64),
-            np.array([locations.intern(ev.location) for ev in events], dtype=np.int32),
-            np.array([entries.intern(ev.entry_data) for ev in events], dtype=np.int32),
-            np.array(
-                [
-                    UNCLASSIFIED if ev.subcategory is None else subcats.intern(ev.subcategory)
-                    for ev in events
-                ],
-                dtype=np.int32,
-            ),
-            locations, entries, subcats,
-        )
+        return cls.from_batch(EventBatch.from_events(events))
+
+    @classmethod
+    def from_batch(
+        cls, batch: EventBatch, label: Optional[Callable[[str], str]] = None
+    ) -> "EventStore":
+        """A memory-backed, time-sorted store of ``batch``'s rows.
+
+        With ``label`` (an ENTRY_DATA -> subcategory function), rows without
+        a subcategory are labeled, calling ``label`` once per distinct
+        entry; a row's own subcategory wins.
+        """
+        subcats = None
+        if label is not None:
+            known = {e: label(e) for e in dict.fromkeys(batch.entries)}
+            subcats = [known[e] if s is None else s for e, s in zip(batch.entries, batch.subcats)]
+        tables = {name: InternTable() for name in TABLE_NAMES}
+        columns = batch.columns(tables, subcats)
+        store = cls(*(columns[n] for n in COLUMN_NAMES), *(tables[n] for n in TABLE_NAMES))
         return store.sorted_by_time()
 
     @classmethod

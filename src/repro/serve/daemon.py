@@ -33,6 +33,7 @@ from typing import Any, Optional
 
 from repro.obs import get_registry
 from repro.online.resolution import SessionStats
+from repro.ras.store import EventBatch
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -42,7 +43,6 @@ from repro.serve.protocol import (
     decode_request,
     encode_frame,
     error_response,
-    event_to_dict,
     http_request_path,
     http_response,
     is_http_request,
@@ -52,7 +52,6 @@ from repro.serve.protocol import (
 from repro.serve.streams import (
     ActionFactory,
     ManagerFactory,
-    StreamChannel,
     StreamRouter,
 )
 from repro.util.validation import check_positive
@@ -235,11 +234,12 @@ class IngestDaemon:
         self._draining = asyncio.Event()
         self._started_at = 0.0
         self.drain_report: Optional[DrainReport] = None
-        # Columnar ingestion archive: accepted events buffer in arrival
-        # order and flush every `chunk_events` (each flush is one durable
-        # append + manifest commit, amortizing the fsync).
+        # Columnar ingestion archive: accepted raw batches buffer in
+        # arrival order and flush every `chunk_events` events (each flush is
+        # one durable append + manifest commit, amortizing the fsync).
         self._store_writer = None
-        self._store_buffer: list[Any] = []
+        self._store_buffer: list[EventBatch] = []
+        self._store_buffered = 0
         if config.store_dir:
             from repro.ras.columnar import ColumnarWriter
 
@@ -361,21 +361,23 @@ class IngestDaemon:
         """Rows committed + buffered in the ingestion archive (0 when off)."""
         if self._store_writer is None:
             return 0
-        return self._store_writer.rows + len(self._store_buffer)
+        return self._store_writer.rows + self._store_buffered
 
-    def _archive(self, event: Any) -> None:
+    def _archive(self, batch: EventBatch) -> None:
         if self._store_writer is None:
             return
-        self._store_buffer.append(event)
-        if len(self._store_buffer) >= self.config.chunk_events:
+        self._store_buffer.append(batch)
+        self._store_buffered += len(batch)
+        if self._store_buffered >= self.config.chunk_events:
             self._flush_store()
 
     def _flush_store(self) -> None:
         if self._store_writer is None or not self._store_buffer:
             return
-        self._store_writer.append_events(self._store_buffer)
-        self.obs.counter("serve.daemon.store_rows", len(self._store_buffer))
+        self._store_writer.append_batch(EventBatch.concat(self._store_buffer))
+        self.obs.counter("serve.daemon.store_rows", self._store_buffered)
         self._store_buffer.clear()
+        self._store_buffered = 0
 
     def _close_store(self) -> None:
         self._flush_store()
@@ -464,28 +466,24 @@ class IngestDaemon:
             self.obs.counter("serve.daemon.rejected", reason="draining")
             return error_response("draining", draining=True)
         channel = self.router.channel(request.stream)
-        accepted = 0
-        for event in request.events:
-            verdict = channel.offer(event)
-            if verdict == "ok":
-                accepted += 1
-                self._archive(event)
-                continue
-            if verdict == "order":
-                self.obs.counter("serve.daemon.rejected", reason="order")
-                return error_response(
-                    f"event time {event.time} precedes stream high-water "
-                    f"mark {channel.stats.last_time}",
-                    accepted=accepted,
-                )
+        batch = request.batch
+        verdict, accepted = channel.offer(batch)
+        if accepted:
+            self._archive(batch if accepted == len(batch) else batch[:accepted])
+        if verdict == "order":
+            self.obs.counter("serve.daemon.rejected", reason="order")
+            return error_response(
+                f"event time {batch.times[accepted]} precedes stream high-water "
+                f"mark {channel.stats.last_time}",
+                accepted=accepted,
+            )
+        if verdict == "busy":
             self.obs.counter("serve.daemon.rejected", reason="busy")
             self.obs.counter(
-                "serve.daemon.drops",
-                len(request.events) - accepted,
-                stream=request.stream,
+                "serve.daemon.drops", len(batch) - accepted, stream=request.stream
             )
-            return busy_response(accepted, channel.queue.qsize())
-        return ok_response(accepted=accepted, queue_depth=channel.queue.qsize())
+            return busy_response(accepted, channel.queue_depth)
+        return ok_response(accepted=accepted, queue_depth=channel.queue_depth)
 
     # ---------------------------------------------------------------- #
     # Scrape documents
@@ -517,7 +515,7 @@ class IngestDaemon:
             processed += channel.stats.processed
             obs.gauge(
                 "serve.daemon.queue_depth",
-                float(channel.queue.qsize()),
+                float(channel.queue_depth),
                 stream=stream_id,
             )
             obs.gauge("serve.daemon.lag", float(channel.lag), stream=stream_id)
@@ -585,8 +583,3 @@ class IngestDaemon:
     async def __aexit__(self, *exc_info: object) -> None:
         if self.drain_report is None:
             await self.drain()
-
-
-def channel_of(daemon: IngestDaemon, stream_id: str) -> StreamChannel:
-    """Test/CLI helper: the daemon's channel for ``stream_id`` (must exist)."""
-    return daemon.router.channels[stream_id]

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 from repro.predictors.base import FailureWarning
 from repro.ras.events import NO_JOB, RasEvent
 from repro.ras.fields import Facility, Severity
+from repro.ras.store import EventBatch
 
 #: Bumped on any wire-visible change; echoed by ``ping``/``health``.
 PROTOCOL_VERSION = 1
@@ -103,42 +104,36 @@ def _require_int(doc: dict, key: str, default: Optional[int] = None) -> int:
     return value
 
 
-def event_from_dict(doc: Any) -> RasEvent:
-    """Decode one event payload; any malformation raises :class:`ProtocolError`."""
-    if not isinstance(doc, dict):
-        raise ProtocolError("event payload must be a JSON object")
-    time = _require_int(doc, "time")
-    location = _require_str(doc, "location")
-    entry_data = _require_str(doc, "entry_data")
-    facility_name = _require_str(doc, "facility").upper()
-    severity_name = _require_str(doc, "severity").upper()
-    try:
-        facility = Facility[facility_name]
-    except KeyError:
-        raise ProtocolError(f"unknown facility {facility_name!r}") from None
-    try:
-        severity = Severity[severity_name]
-    except KeyError:
-        raise ProtocolError(f"unknown severity {severity_name!r}") from None
-    subcategory = doc.get("subcategory")
-    if subcategory is not None and not isinstance(subcategory, str):
-        raise ProtocolError("event field 'subcategory' must be a string")
-    event_type = doc.get("event_type", "RAS")
-    if not isinstance(event_type, str):
-        raise ProtocolError("event field 'event_type' must be a string")
-    try:
-        return RasEvent(
-            time=time,
-            location=location,
-            facility=facility,
-            severity=severity,
-            entry_data=entry_data,
-            job_id=_require_int(doc, "job_id", NO_JOB),
-            event_type=event_type,
-            subcategory=subcategory,
-        )
-    except ValueError as exc:  # RasEvent's own invariants (time >= 0, ...)
-        raise ProtocolError(str(exc)) from None
+def decode_events(payload: list) -> EventBatch:
+    """Decode event payloads straight into columns, in payload order; the
+    first malformed one raises :class:`ProtocolError`."""
+    rows = []
+    for doc in payload:
+        if not isinstance(doc, dict):
+            raise ProtocolError("event payload must be a JSON object")
+        time = _require_int(doc, "time")
+        location = _require_str(doc, "location")
+        entry_data = _require_str(doc, "entry_data")
+        facility_name = _require_str(doc, "facility").upper()
+        severity_name = _require_str(doc, "severity").upper()
+        facility = Facility.__members__.get(facility_name)
+        if facility is None:
+            raise ProtocolError(f"unknown facility {facility_name!r}")
+        severity = Severity.__members__.get(severity_name)
+        if severity is None:
+            raise ProtocolError(f"unknown severity {severity_name!r}")
+        subcategory = doc.get("subcategory")
+        if subcategory is not None and not isinstance(subcategory, str):
+            raise ProtocolError("event field 'subcategory' must be a string")
+        event_type = doc.get("event_type", "RAS")
+        if not isinstance(event_type, str):
+            raise ProtocolError("event field 'event_type' must be a string")
+        job_id = _require_int(doc, "job_id", NO_JOB)
+        if time < 0:  # RasEvent's own invariant
+            raise ProtocolError(f"event time must be >= 0, got {time}")
+        rows.append((time, location, facility, severity, entry_data,
+                     job_id, event_type, subcategory))
+    return EventBatch(*map(list, zip(*rows)))
 
 
 def warning_to_dict(warning: FailureWarning) -> dict[str, Any]:
@@ -189,7 +184,12 @@ class Request:
 
     op: str
     stream: str = ""
-    events: tuple[RasEvent, ...] = ()
+    batch: EventBatch = field(default_factory=EventBatch)
+
+    @property
+    def events(self) -> tuple[RasEvent, ...]:
+        """The batch as event objects, built on each access."""
+        return tuple(self.batch.events())
 
 
 def decode_request(data: Union[bytes, str]) -> Request:
@@ -208,11 +208,11 @@ def decode_request(data: Union[bytes, str]) -> Request:
                 "'stream' must match [A-Za-z0-9._-]{1,64}"
             )
 
-    events: tuple[RasEvent, ...] = ()
+    batch = EventBatch()
     if op == "event":
         if "event" not in doc:
             raise ProtocolError("'event' op requires an 'event' payload")
-        events = (event_from_dict(doc["event"]),)
+        batch = decode_events([doc["event"]])
     elif op == "batch":
         payload = doc.get("events")
         if not isinstance(payload, list):
@@ -221,8 +221,8 @@ def decode_request(data: Union[bytes, str]) -> Request:
             raise ProtocolError(
                 f"batch exceeds {MAX_BATCH_EVENTS} events ({len(payload)} sent)"
             )
-        events = tuple(event_from_dict(item) for item in payload)
-    return Request(op=op, stream=stream, events=events)
+        batch = decode_events(payload)
+    return Request(op=op, stream=stream, batch=batch)
 
 
 # --------------------------------------------------------------------- #

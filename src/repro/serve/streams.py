@@ -1,15 +1,16 @@
 """Per-stream ingestion channels behind the daemon's wire protocol.
 
 A *stream* is one independent RAS event source (one machine, one tenant,
-one replayed log).  Each stream gets a :class:`StreamChannel`: a bounded
-``asyncio.Queue`` in front of its own :class:`~repro.serve.pool.DetectorPool`,
-consumed by one worker task.  The queue bound is the backpressure contract —
-when a stream's consumer falls behind, :meth:`StreamChannel.offer` returns
-``"busy"`` instead of growing memory, and the daemon surfaces that to the
-producer as a ``BUSY`` response (the producer retries the unsent tail).
+one replayed log).  Each stream gets a :class:`StreamChannel`: a queue of
+decoded wire batches, bounded in events, in front of its own
+:class:`~repro.serve.pool.DetectorPool`, consumed by one worker task.  The
+bound is the backpressure contract — when a stream's consumer falls behind,
+:meth:`StreamChannel.offer` accepts only the prefix that fits, and the
+daemon answers ``BUSY`` (the producer retries the unsent tail).
 
-The worker drains the queue in chunks of at most ``chunk_events`` and feeds
-each chunk through :meth:`DetectorPool.process_store` — the persistent-
+The worker concatenates batches into chunks of at most ``chunk_events``,
+builds one store per chunk (labeling each distinct ENTRY_DATA once) and
+feeds it through :meth:`DetectorPool.process_store` — the persistent-
 session columnar path, which is chunk-size invariant, so the resolved
 session statistics equal a per-event replay of the same stream regardless
 of how arrivals were batched on the wire.
@@ -28,15 +29,14 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Protocol
 
 from repro.meta.stacked import MetaLearner
 from repro.obs import get_registry
 from repro.online.resolution import SessionStats
 from repro.predictors.base import FailureWarning
-from repro.ras.events import RasEvent
-from repro.ras.store import EventStore
+from repro.ras.store import EventBatch, EventStore
 from repro.serve.pool import DetectorPool
 from repro.util.validation import check_positive
 
@@ -72,30 +72,19 @@ ManagerFactory = Callable[[DetectorPool, EventStore], ChunkConsumer]
 #: Builds one action sink per stream (keyed by stream id).
 ActionFactory = Callable[[str], ActionSink]
 
-#: Queue sentinel that tells the worker to exit after flushing.
-_CLOSE = object()
-
-
 @dataclass
 class StreamStats:
     """Operator-facing counters of one ingestion stream."""
 
     ingested: int = 0        # accepted into the queue
     processed: int = 0       # fed through the detector pool
-    dropped_busy: int = 0    # rejected by backpressure (producer retries)
+    dropped_busy: int = 0    # events refused busy (producer retries them)
     rejected_order: int = 0  # rejected for violating time order
     warnings: int = 0        # warnings raised so far
     last_time: int = -1      # newest accepted event timestamp
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "ingested": self.ingested,
-            "processed": self.processed,
-            "dropped_busy": self.dropped_busy,
-            "rejected_order": self.rejected_order,
-            "warnings": self.warnings,
-            "last_time": self.last_time,
-        }
+        return asdict(self)
 
 
 class StreamChannel:
@@ -124,7 +113,10 @@ class StreamChannel:
         self.chunk_events = int(chunk_events)
         self.stats = StreamStats()
         self.recent_warnings: deque[FailureWarning] = deque(maxlen=warning_ring)
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_bound)
+        self.queue_bound = int(queue_bound)
+        self._batches: deque[EventBatch] = deque()
+        self.queue_depth = 0  # events queued, not yet taken by the worker
+        self._arrived = asyncio.Event()
         self._classifier = meta.statistical.classifier
         self._manager_factory = manager_factory
         self._manager: Optional[ChunkConsumer] = None
@@ -132,8 +124,8 @@ class StreamChannel:
             action_factory(stream_id) if action_factory is not None else None
         )
         self._reference_events = int(reference_events)
-        self._reference: list[RasEvent] = []  # pre-manager warm-up buffer
-        self._chunk: list[RasEvent] = []      # lifecycle-mode partial chunk
+        self._reference = EventBatch()  # pre-manager warm-up buffer
+        self._chunk = EventBatch()      # lifecycle-mode partial chunk
         self._closing = False
         self._task: Optional[asyncio.Task] = None
 
@@ -144,33 +136,44 @@ class StreamChannel:
     @property
     def lag(self) -> int:
         """Events accepted but not yet fed through the pool."""
-        return self.queue.qsize() + len(self._chunk) + len(self._reference)
+        return self.queue_depth + len(self._chunk) + len(self._reference)
 
     @property
     def pending_warnings(self) -> int:
         return self.pool.pending_count
 
-    def offer(self, event: RasEvent) -> str:
-        """Try to enqueue one event; returns ``"ok"``, ``"busy"`` or ``"order"``.
+    def offer(self, batch: EventBatch) -> tuple[str, int]:
+        """Enqueue the longest acceptable prefix of ``batch``.
 
-        Never blocks and never grows the queue past its bound — a full
-        queue is the producer's problem (retry after the busy response).
-        Events must arrive in non-decreasing time order per stream; the
-        detector's dispatch machine is forward-only.
+        Returns ``(verdict, accepted)``, the verdict being ``"ok"`` or that
+        of the first refused event.  Per event, in order: a closing stream
+        is ``"busy"``, an event older than the newest accepted one is
+        ``"order"`` (dispatch is forward-only), a full queue is ``"busy"``.
+        Never blocks; a full queue is the producer's problem (retry the
+        unsent tail after the busy response).
         """
-        if self._closing:
-            return "busy"
-        if event.time < self.stats.last_time:
-            self.stats.rejected_order += 1
-            return "order"
-        try:
-            self.queue.put_nowait(event)
-        except asyncio.QueueFull:
-            self.stats.dropped_busy += 1
-            return "busy"
-        self.stats.ingested += 1
-        self.stats.last_time = event.time
-        return "ok"
+        stats = self.stats
+        n = len(batch)
+        room = 0 if self._closing else max(self.queue_bound - self.queue_depth, 0)
+        accepted, verdict = min(n, room), ("busy" if n > room else "ok")
+        last = stats.last_time
+        for i, t in enumerate(batch.times[:accepted + 1]):
+            if t < last:
+                if not self._closing:
+                    accepted, verdict = i, "order"
+                break
+            last = t
+        if verdict == "order":
+            stats.rejected_order += 1
+        elif verdict == "busy":
+            stats.dropped_busy += n - accepted
+        if accepted:
+            self._batches.append(batch if accepted == n else batch[:accepted])
+            self.queue_depth += accepted
+            self._arrived.set()
+            stats.ingested += accepted
+            stats.last_time = batch.times[accepted - 1]
+        return verdict, accepted
 
     # ---------------------------------------------------------------- #
     # Consumer side (one worker task per channel)
@@ -184,104 +187,84 @@ class StreamChannel:
             )
 
     async def _run(self) -> None:
-        queue = self.queue
-        while True:
-            item = await queue.get()
-            if item is _CLOSE:
-                break
-            batch = [item]
-            # Opportunistically drain whatever is already queued so wire
-            # batching converts into columnar batching, up to the chunk cap.
-            while len(batch) < self.chunk_events:
-                try:
-                    extra = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is _CLOSE:
-                    self._feed(batch)
-                    self._flush()
-                    return
-                batch.append(extra)
-            self._feed(batch)
+        while self._batches or not self._closing:
+            if not self._batches:
+                self._arrived.clear()
+                await self._arrived.wait()
+                continue
+            self._feed(self._take())
             # Yield so other channels and connection handlers get a turn
             # even when this queue never runs empty.
             await asyncio.sleep(0)
         self._flush()
 
-    def _classified(self, events: list[RasEvent]) -> list[RasEvent]:
-        classify = self._classifier.classify
-        return [
-            ev if ev.subcategory is not None
-            else ev.with_subcategory(classify(ev.entry_data))
-            for ev in events
-        ]
+    def _take(self) -> EventBatch:
+        """Pop queued events up to ``chunk_events`` as one batch.
 
-    def _feed(self, events: list[RasEvent]) -> None:
+        Draining whatever is already queued turns wire batching into
+        columnar batching; a batch larger than the room left is split.
+        """
+        parts, room = [], self.chunk_events
+        while self._batches and room:
+            batch = self._batches.popleft()
+            if len(batch) > room:
+                self._batches.appendleft(batch[room:])
+                batch = batch[:room]
+            parts.append(batch)
+            room -= len(batch)
+        self.queue_depth -= self.chunk_events - room
+        return EventBatch.concat(parts)
+
+    def _store(self, batch: EventBatch) -> EventStore:
+        return EventStore.from_batch(batch, self._classifier.classify)
+
+    def _feed(self, batch: EventBatch) -> None:
         """Feed accepted events to the pool (plain) or manager (lifecycle)."""
         if self._manager_factory is None:
-            self._consume(events)
+            self._consume(batch)
             return
         # Lifecycle mode: fill the drift-reference window first, then feed
         # exact chunk_events-sized chunks so retrain barriers are placed
         # deterministically, independent of wire batching.
         if self._manager is None:
             need = self._reference_events - len(self._reference)
-            self._reference.extend(events[:need])
-            events = events[need:]
+            self._reference = EventBatch.concat([self._reference, batch[:need]])
+            batch = batch[need:]
             if len(self._reference) < self._reference_events:
                 return
-            reference = EventStore.from_events_in_memory(self._classified(self._reference))
-            self._manager = self._manager_factory(self.pool, reference)
-            self._consume_chunks([self._reference])
-            self._reference = []
-        if events:
-            self._chunk.extend(events)
-            full, rest = [], self._chunk
-            while len(rest) >= self.chunk_events:
-                full.append(rest[: self.chunk_events])
-                rest = rest[self.chunk_events:]
-            self._chunk = rest
-            self._consume_chunks(full)
+            reference, self._reference = self._reference, EventBatch()
+            store = self._store(reference)
+            self._manager = self._manager_factory(self.pool, store)
+            self._consume(reference, store)
+        rest = EventBatch.concat([self._chunk, batch])
+        size = self.chunk_events
+        while len(rest) >= size:
+            self._consume(rest[:size])
+            rest = rest[size:]
+        self._chunk = rest
 
-    def _consume(self, events: list[RasEvent]) -> None:
-        """Feed one batch through the persistent pool sessions."""
-        if not events:
+    def _consume(self, batch: EventBatch, store: Optional[EventStore] = None) -> None:
+        """Feed one chunk through the manager's serving loop, else the pool."""
+        if not batch:
             return
-        store = EventStore.from_events_in_memory(self._classified(events))
-        raised = self.pool.process_store(store)
+        if store is None:
+            store = self._store(batch)
+        if self._manager is not None:
+            raised = self._manager.feed(store)
+        else:
+            raised = self.pool.process_store(store)
         if self.action_sink is not None:
             self.action_sink.observe_store(store, list(raised))
         self.recent_warnings.extend(raised)
-        self.stats.processed += len(events)
+        self.stats.processed += len(batch)
         self.stats.warnings += len(raised)
         obs = get_registry()
-        obs.counter("serve.daemon.events", len(events), stream=self.stream_id)
-        obs.observe("serve.daemon.batch_events", float(len(events)))
+        obs.counter("serve.daemon.events", len(batch), stream=self.stream_id)
+        obs.observe("serve.daemon.batch_events", float(len(batch)))
         if raised:
             obs.counter(
                 "serve.daemon.warnings", len(raised), stream=self.stream_id
             )
-
-    def _consume_chunks(self, chunks: list[list[RasEvent]]) -> None:
-        """Feed full chunks through the lifecycle manager's serving loop."""
-        assert self._manager is not None
-        obs = get_registry()
-        for chunk in chunks:
-            if not chunk:
-                continue
-            store = EventStore.from_events_in_memory(self._classified(chunk))
-            raised = self._manager.feed(store)
-            if self.action_sink is not None:
-                self.action_sink.observe_store(store, list(raised))
-            self.recent_warnings.extend(raised)
-            self.stats.processed += len(chunk)
-            self.stats.warnings += len(raised)
-            obs.counter("serve.daemon.events", len(chunk), stream=self.stream_id)
-            obs.observe("serve.daemon.batch_events", float(len(chunk)))
-            if raised:
-                obs.counter(
-                    "serve.daemon.warnings", len(raised), stream=self.stream_id
-                )
 
     # ---------------------------------------------------------------- #
     # Shutdown
@@ -289,15 +272,11 @@ class StreamChannel:
 
     async def close(self) -> None:
         """Stop accepting, let the worker drain everything, join it."""
-        if self._closing:
-            if self._task is not None:
-                await self._task
-            return
         self._closing = True
         if self._task is None:
             self._flush()
             return
-        await self.queue.put(_CLOSE)
+        self._arrived.set()
         await self._task
 
     def _flush(self) -> None:
@@ -305,15 +284,12 @@ class StreamChannel:
         if self._reference:
             # Stream ended before the drift reference filled: feed the
             # buffered events plainly — no manager, no retraining.
-            buffered, self._reference = self._reference, []
+            buffered, self._reference = self._reference, EventBatch()
             self._manager_factory = None
             self._consume(buffered)
         if self._chunk:
-            tail, self._chunk = self._chunk, []
-            if self._manager is not None:
-                self._consume_chunks([tail])
-            else:
-                self._consume(tail)
+            tail, self._chunk = self._chunk, EventBatch()
+            self._consume(tail)
 
     def finish(self) -> SessionStats:
         """Finalize the pool's sessions (resolve pending warnings)."""

@@ -34,6 +34,9 @@ from repro.taxonomy.subcategories import CATALOG, Subcategory
 #: :attr:`MainCategory.OTHER` ("other" is the paper's catch-all bucket).
 OTHER_FALLBACK: str = "uncategorized"
 
+#: Distinct ENTRY_DATA strings the per-entry label memo holds at most.
+_ENTRY_CACHE_MAX = 8192
+
 #: Facility -> main category used by the fallback stage.
 _FACILITY_CATEGORY: dict[Facility, MainCategory] = {
     Facility.APP: MainCategory.APPLICATION,
@@ -96,9 +99,10 @@ class TaxonomyClassifier:
         Returns a subcategory name, or :data:`OTHER_FALLBACK` when the text
         matches nothing (the facility argument only matters for
         :meth:`fallback_category`, it is accepted here for API symmetry).
+        Answers come from the per-entry memo shared with
+        :meth:`classify_store`.
         """
-        sc = self.classify_entry(entry_data)
-        return sc.name if sc is not None else OTHER_FALLBACK
+        return self.label_names[self._label_id_for_entry(entry_data)]
 
     def fallback_category(
         self, facility: Facility, location: Optional[str] = None
@@ -138,6 +142,8 @@ class TaxonomyClassifier:
             return cached
         sc = self.classify_entry(entry)
         idx = self._label_index[sc.name if sc is not None else OTHER_FALLBACK]
+        if len(self._entry_cache) >= _ENTRY_CACHE_MAX:
+            self._entry_cache.clear()  # an open vocabulary cannot grow memory
         self._entry_cache[entry] = idx
         return idx
 

@@ -4,21 +4,28 @@
 event at a time, over a :class:`~repro.meta.stacked.MetaStream`'s own state,
 so a stream can be driven by it or by the batch loop (``MetaStream.detect``)
 and the two compared warning for warning.  :class:`LegacyDequeResolver` is
-the seed's warning resolution (an O(P) deque rebuild per event).  Do not
-optimise these: their value is that they are obviously right, and the deque
-resolver's cost is what the heap resolver is benchmarked against.
+the seed's warning resolution (an O(P) deque rebuild per event).
+:func:`reference_event_from_dict` decodes one wire event payload into a
+:class:`RasEvent` (the columnar ``decode_events`` is checked against it) and
+:class:`ReferenceOffers` is a stream channel's admission, one event at a
+time.  Do not optimise these: their value is that they are obviously right,
+and the deque resolver's cost is what the heap resolver is benchmarked
+against.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Optional
+from typing import Any, Optional
 
 from repro.meta.stacked import MetaLearner, MetaStream
 from repro.online.resolution import SessionStats, WarningResolver
 from repro.predictors.base import FailureWarning
-from repro.ras.events import RasEvent
+from repro.ras.events import NO_JOB, RasEvent
+from repro.ras.fields import Facility, Severity
 from repro.ras.store import EventStore
+from repro.serve.protocol import ProtocolError
+from repro.serve.streams import StreamStats
 from repro.serve.sharding import midplane_of, shard_of_key
 from repro.taxonomy.categories import MainCategory
 
@@ -206,3 +213,95 @@ class LegacyDequeResolver:
     def finish(self) -> SessionStats:
         self._expire(now=2**62)
         return self.stats
+
+
+def _require_str(doc: dict, key: str) -> str:
+    value = doc.get(key)
+    if not isinstance(value, str) or not value:
+        raise ProtocolError(f"event field {key!r} must be a non-empty string")
+    return value
+
+
+def _require_int(doc: dict, key: str, default: Optional[int] = None) -> int:
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"event field {key!r} must be an integer")
+    return value
+
+
+def reference_event_from_dict(doc: Any) -> RasEvent:
+    """Decode one event payload; any malformation raises :class:`ProtocolError`."""
+    if not isinstance(doc, dict):
+        raise ProtocolError("event payload must be a JSON object")
+    time = _require_int(doc, "time")
+    location = _require_str(doc, "location")
+    entry_data = _require_str(doc, "entry_data")
+    facility_name = _require_str(doc, "facility").upper()
+    severity_name = _require_str(doc, "severity").upper()
+    try:
+        facility = Facility[facility_name]
+    except KeyError:
+        raise ProtocolError(f"unknown facility {facility_name!r}") from None
+    try:
+        severity = Severity[severity_name]
+    except KeyError:
+        raise ProtocolError(f"unknown severity {severity_name!r}") from None
+    subcategory = doc.get("subcategory")
+    if subcategory is not None and not isinstance(subcategory, str):
+        raise ProtocolError("event field 'subcategory' must be a string")
+    event_type = doc.get("event_type", "RAS")
+    if not isinstance(event_type, str):
+        raise ProtocolError("event field 'event_type' must be a string")
+    try:
+        return RasEvent(
+            time=time,
+            location=location,
+            facility=facility,
+            severity=severity,
+            entry_data=entry_data,
+            job_id=_require_int(doc, "job_id", NO_JOB),
+            event_type=event_type,
+            subcategory=subcategory,
+        )
+    except ValueError as exc:  # RasEvent's own invariants (time >= 0, ...)
+        raise ProtocolError(str(exc)) from None
+
+
+class ReferenceOffers:
+    """A stream channel's admission, one event at a time.
+
+    Per event: closing -> ``busy``, older than the newest accepted event ->
+    ``order``, queue full -> ``busy``.  A frame stops at its first refused
+    event; ``busy`` counts every refused event of the frame, ``order`` the
+    one out-of-order event.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self.depth = 0
+        self.closing = False
+        self.stats = StreamStats()
+        self.queued: list[RasEvent] = []
+
+    def offer_one(self, event: RasEvent) -> str:
+        if self.closing:
+            return "busy"
+        if event.time < self.stats.last_time:
+            self.stats.rejected_order += 1
+            return "order"
+        if self.depth >= self.bound:
+            return "busy"
+        self.depth += 1
+        self.queued.append(event)
+        self.stats.ingested += 1
+        self.stats.last_time = event.time
+        return "ok"
+
+    def offer(self, events: list[RasEvent]) -> tuple[str, int]:
+        for accepted, event in enumerate(events):
+            verdict = self.offer_one(event)
+            if verdict == "busy":
+                self.stats.dropped_busy += len(events) - accepted
+            if verdict != "ok":
+                return verdict, accepted
+        return "ok", len(events)

@@ -127,3 +127,16 @@ def test_on_generated_log(anl_events):
     m = match_warnings(bp.predict(test), test).metrics
     assert 0.0 <= m.precision <= 1.0
     assert m.n_warnings < len(test)  # not a warning firehose
+
+
+def test_reinterned_rows_give_identical_warnings(anl_events):
+    """Stores are read by label name: interning order cannot move warnings."""
+    cut = int(len(anl_events) * 0.7)
+    train = anl_events.select(slice(0, cut))
+    test = anl_events.select(slice(cut, len(anl_events)))
+    # The same rows, labels re-interned in arrival order (as the daemon and
+    # the lifecycle loop build their chunk stores).
+    reinterned = EventStore.from_events_in_memory(test.to_events())
+    assert reinterned.subcat_table != test.subcat_table
+    bp = BayesPredictor(window=30 * MINUTE, threshold=0.6).fit(train)
+    assert bp.predict(reinterned) == bp.predict(test)

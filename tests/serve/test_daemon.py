@@ -24,6 +24,7 @@ from repro.lifecycle import (
 )
 from repro.meta.stacked import MetaLearner
 from repro.online.resolution import SessionStats
+from repro.ras.store import EventBatch
 from repro.serve import DetectorPool
 from repro.serve.client import emit_events, partition_round_robin
 from repro.serve.daemon import (
@@ -181,10 +182,11 @@ def test_stalled_channel_bounds_queue_and_reports_busy(fitted):
     async def run():
         channel = StreamChannel("s", meta, queue_bound=bound)
         # No channel.start(): the consumer is maximally stalled.
-        verdicts = [channel.offer(ev) for ev in events[: bound + 10]]
-        assert verdicts[:bound] == ["ok"] * bound
-        assert verdicts[bound:] == ["busy"] * 10
-        assert channel.queue.qsize() == bound
+        head = EventBatch.from_events(events[: bound - 4])
+        assert channel.offer(head) == ("ok", bound - 4)
+        tail = EventBatch.from_events(events[bound - 4: bound + 10])
+        assert channel.offer(tail) == ("busy", 4)
+        assert channel.queue_depth == bound
         assert channel.stats.ingested == bound
         assert channel.stats.dropped_busy == 10
         # The consumer coming back drains everything that was accepted.
@@ -212,7 +214,7 @@ def test_busy_batch_is_partially_accepted_over_the_wire(fitted):
             assert response["busy"] is True
             assert response["accepted"] == 8
             assert response["queue_depth"] == 8
-            assert channel.queue.qsize() == 8
+            assert channel.queue_depth == 8
             # Resume a worker so drain() can flush the accepted events.
             channel._task = None
             channel.start()
@@ -220,7 +222,8 @@ def test_busy_batch_is_partially_accepted_over_the_wire(fitted):
 
     report = asyncio.run(run())
     assert report.streams[0].processed == 8
-    assert report.streams[0].dropped_busy > 0
+    # Every refused event counts, not the one BUSY frame.
+    assert report.streams[0].dropped_busy == 12
 
 
 def test_out_of_order_event_rejected(fitted):

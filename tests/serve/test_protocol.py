@@ -17,8 +17,8 @@ from repro.serve.protocol import (
     decode_frame,
     decode_request,
     encode_frame,
+    decode_events,
     error_response,
-    event_from_dict,
     event_to_dict,
     http_request_path,
     http_response,
@@ -29,6 +29,11 @@ from repro.serve.protocol import (
 from tests.conftest import make_event
 
 # ------------------------------------------------------------- event codec
+
+
+def event_from_dict(doc):
+    """One payload through the columnar decoder, as an event object."""
+    return decode_events([doc]).events()[0]
 
 
 def test_event_round_trips_through_dict():

@@ -113,3 +113,15 @@ def test_generated_log_classification_coverage(clf, small_anl_log):
     counts = labeled.subcat_counts()
     assert OTHER_FALLBACK not in counts
     assert sum(counts.values()) == len(small_anl_log.raw)
+
+
+def test_entry_memo_is_bounded():
+    from repro.taxonomy.classifier import _ENTRY_CACHE_MAX
+
+    clf = TaxonomyClassifier()
+    for i in range(_ENTRY_CACHE_MAX + 10):
+        assert clf.classify(f"unheard-of message {i}") == OTHER_FALLBACK
+    assert 0 < len(clf._entry_cache) <= _ENTRY_CACHE_MAX
+    # Entries evicted from the memo still classify the same way.
+    sc = CATALOG[0]
+    assert clf.classify(sc.templates[0]) == sc.name
