@@ -12,8 +12,8 @@ for precision.
 
 from benchmarks.conftest import report
 from repro.evaluation.crossval import cross_validate
-from repro.meta.ensembles import POLICIES, PolicyEnsemble
-from repro.meta.stacked import MetaLearner
+from repro.evaluation.spec import PredictorSpec
+from repro.meta.ensembles import POLICIES
 from repro.util.timeutil import MINUTE
 
 W = 30 * MINUTE
@@ -25,11 +25,11 @@ def test_ablation_dispatch_policies(anl_bench_events, benchmark):
         results = {}
         for policy in POLICIES:
             results[policy] = cross_validate(
-                lambda policy=policy: PolicyEnsemble(policy), anl_bench_events,
+                PredictorSpec.of("policy", policy=policy), anl_bench_events,
                 k=10,
             )
         results["meta (paper)"] = cross_validate(
-            lambda: MetaLearner(prediction_window=W, rule_window=G),
+            PredictorSpec.meta(prediction_window=W, rule_window=G),
             anl_bench_events,
             k=10,
         )

@@ -12,9 +12,9 @@ import time
 
 from benchmarks.conftest import report
 from repro.evaluation.crossval import cross_validate
+from repro.evaluation.spec import PredictorSpec
 from repro.mining.rules import generate_rules
 from repro.mining.transactions import build_event_sets
-from repro.predictors.rulebased import RuleBasedPredictor
 from repro.util.timeutil import MINUTE
 
 SUPPORTS = (0.01, 0.02, 0.04, 0.08, 0.16)
@@ -53,7 +53,7 @@ def test_ablation_support_quality(anl_bench_events, benchmark):
         out = {}
         for s in (0.02, 0.04, 0.16):
             out[s] = cross_validate(
-                lambda s=s: RuleBasedPredictor(
+                PredictorSpec.rule(
                     rule_window=15 * MINUTE,
                     prediction_window=30 * MINUTE,
                     min_support=s,

@@ -11,7 +11,7 @@ target set.
 
 from benchmarks.conftest import report
 from repro.evaluation.crossval import cross_validate
-from repro.meta.stacked import MetaLearner
+from repro.evaluation.spec import PredictorSpec
 from repro.preprocess.pipeline import PreprocessPipeline, job_impacting_filter
 from repro.util.timeutil import MINUTE
 
@@ -48,7 +48,7 @@ def test_ext_filter_effect_on_prediction(anl_bench_log, benchmark):
                           ("job-impacting only", job_impacting_filter)):
             result = PreprocessPipeline(event_filter=flt).run(anl_bench_log.raw)
             out[name] = cross_validate(
-                lambda: MetaLearner(
+                PredictorSpec.meta(
                     prediction_window=30 * MINUTE, rule_window=15 * MINUTE
                 ),
                 result.events,

@@ -9,8 +9,8 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.evaluation.paper import FIGURE4_BANDS, RULE_GENERATION_WINDOW_MIN
-from repro.evaluation.sweep import prediction_window_sweep
-from repro.predictors.rulebased import RuleBasedPredictor
+from repro.evaluation.spec import PredictorSpec
+from repro.evaluation.sweep import sweep
 from repro.util.timeutil import MINUTE
 
 WINDOWS = tuple(m * MINUTE for m in (5, 10, 15, 20, 30, 40, 50, 60))
@@ -24,12 +24,11 @@ def test_figure4_rule_sweep(
     rule_window = RULE_GENERATION_WINDOW_MIN[system] * MINUTE
 
     points = benchmark.pedantic(
-        lambda: prediction_window_sweep(
-            lambda w: RuleBasedPredictor(
-                rule_window=rule_window, prediction_window=w
+        lambda: sweep(
+            PredictorSpec.rule(rule_window=rule_window).grid(
+                "prediction_window", WINDOWS
             ),
             events,
-            windows=WINDOWS,
             k=10,
         ),
         rounds=1,
@@ -60,12 +59,11 @@ def test_figure4_recall_ceiling_from_orphans(anl_bench_events, benchmark):
     any precursor warnings': even at the largest window recall stays well
     below 1."""
     points = benchmark.pedantic(
-        lambda: prediction_window_sweep(
-            lambda w: RuleBasedPredictor(
-                rule_window=15 * MINUTE, prediction_window=w
+        lambda: sweep(
+            PredictorSpec.rule(rule_window=15 * MINUTE).grid(
+                "prediction_window", [60 * MINUTE]
             ),
             anl_bench_events,
-            windows=[60 * MINUTE],
             k=10,
         ),
         rounds=1,

@@ -12,11 +12,8 @@ import pytest
 from benchmarks.conftest import report
 from repro.evaluation.paper import FIGURE5, RULE_GENERATION_WINDOW_MIN
 from repro.evaluation.crossval import cross_validate
-from repro.evaluation.sweep import prediction_window_sweep
-from repro.meta.stacked import MetaLearner
-from repro.predictors.rulebased import RuleBasedPredictor
-from repro.predictors.statistical import StatisticalPredictor
-from repro.taxonomy.categories import MainCategory
+from repro.evaluation.spec import PredictorSpec
+from repro.evaluation.sweep import sweep
 from repro.util.timeutil import HOUR, MINUTE
 
 WINDOWS = tuple(m * MINUTE for m in (5, 10, 15, 20, 30, 40, 50, 60))
@@ -30,10 +27,11 @@ def test_figure5_meta_sweep(
     rule_window = RULE_GENERATION_WINDOW_MIN[system] * MINUTE
 
     points = benchmark.pedantic(
-        lambda: prediction_window_sweep(
-            lambda w: MetaLearner(prediction_window=w, rule_window=rule_window),
+        lambda: sweep(
+            PredictorSpec.meta(rule_window=rule_window).grid(
+                "prediction_window", WINDOWS
+            ),
             events,
-            windows=WINDOWS,
             k=10,
         ),
         rounds=1,
@@ -71,18 +69,17 @@ def test_figure5_meta_beats_both_bases(
 
     def run(W):
         stat = cross_validate(
-            lambda: StatisticalPredictor(
-                window=HOUR, lead=5 * MINUTE,
-                categories=[MainCategory.NETWORK, MainCategory.IOSTREAM],
+            PredictorSpec.statistical(
+                window=HOUR, lead=5 * MINUTE, categories="NETWORK,IOSTREAM",
             ),
             events, k=10,
         )
         rule = cross_validate(
-            lambda: RuleBasedPredictor(rule_window=G, prediction_window=W),
+            PredictorSpec.rule(rule_window=G, prediction_window=W),
             events, k=10,
         )
         meta = cross_validate(
-            lambda: MetaLearner(prediction_window=W, rule_window=G),
+            PredictorSpec.meta(prediction_window=W, rule_window=G),
             events, k=10,
         )
         return stat, rule, meta

@@ -10,17 +10,14 @@ import pytest
 from benchmarks.conftest import report
 from repro.evaluation.crossval import cross_validate
 from repro.evaluation.paper import TABLE5
+from repro.evaluation.spec import PredictorSpec
 from repro.predictors.statistical import StatisticalPredictor
 from repro.taxonomy.categories import MainCategory
 from repro.util.timeutil import HOUR, MINUTE
 
-
-def _factory():
-    return StatisticalPredictor(
-        window=HOUR,
-        lead=5 * MINUTE,
-        categories=[MainCategory.NETWORK, MainCategory.IOSTREAM],
-    )
+SPEC = PredictorSpec.statistical(
+    window=HOUR, lead=5 * MINUTE, categories="NETWORK,IOSTREAM"
+)
 
 
 @pytest.mark.parametrize("system", ["ANL", "SDSC"])
@@ -29,7 +26,7 @@ def test_table5_statistical_cv(
 ):
     events = anl_bench_events if system == "ANL" else sdsc_bench_events
     cv = benchmark.pedantic(
-        lambda: cross_validate(_factory, events, k=10), rounds=1, iterations=1
+        lambda: cross_validate(SPEC, events, k=10), rounds=1, iterations=1
     )
     paper = TABLE5[system]
     report(
@@ -52,8 +49,8 @@ def test_table5_anl_dominates_sdsc(
     significantly for different Blue Gene/L systems', with ANL higher."""
 
     def run():
-        anl = cross_validate(_factory, anl_bench_events, k=10)
-        sdsc = cross_validate(_factory, sdsc_bench_events, k=10)
+        anl = cross_validate(SPEC, anl_bench_events, k=10)
+        sdsc = cross_validate(SPEC, sdsc_bench_events, k=10)
         return anl, sdsc
 
     anl, sdsc = benchmark.pedantic(run, rounds=1, iterations=1)

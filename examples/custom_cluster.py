@@ -17,7 +17,7 @@ Run:  python examples/custom_cluster.py
 from repro import LogGenerator, ThreePhasePredictor
 from repro.bgl.cmcs import DuplicationModel
 from repro.bgl.topology import MachineSpec
-from repro.evaluation import cross_validate
+from repro.evaluation import PredictorSpec, cross_validate
 from repro.meta.stacked import MetaLearner
 from repro.synth.chains import ChainTemplate, default_chain_templates
 from repro.synth.profiles import BurstConfig, SystemProfile, WorkloadConfig, _noise_rates
@@ -94,7 +94,7 @@ def main() -> None:
     # The unchanged pipeline adapts: triggers and rules are learned from
     # this cluster's own data.
     cv = cross_validate(
-        lambda: MetaLearner(
+        PredictorSpec.meta(
             prediction_window=30 * MINUTE, rule_window=15 * MINUTE
         ),
         events, k=5,

@@ -15,12 +15,11 @@ Run:  python examples/reproduce_anl_study.py   (~1-2 minutes)
 import numpy as np
 
 from repro import LogGenerator, ThreePhasePredictor, anl_profile
-from repro.evaluation import cross_validate, prediction_window_sweep
+from repro.evaluation import PredictorSpec, cross_validate, sweep
 from repro.evaluation.paper import TABLE4, TABLE5
 from repro.evaluation.sweep import format_sweep
-from repro.meta.stacked import MetaLearner
 from repro.predictors.rulebased import RuleBasedPredictor
-from repro.predictors.statistical import StatisticalPredictor, failure_gap_cdf
+from repro.predictors.statistical import failure_gap_cdf
 from repro.preprocess.summary import category_fatal_counts, format_table4
 from repro.taxonomy.categories import MainCategory
 from repro.util.timeutil import HOUR, MINUTE
@@ -54,9 +53,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     print("\n=== Table 5 — statistical predictor (10-fold CV) ===")
     cv = cross_validate(
-        lambda: StatisticalPredictor(
-            window=HOUR, lead=5 * MINUTE,
-            categories=[MainCategory.NETWORK, MainCategory.IOSTREAM],
+        PredictorSpec.statistical(
+            window=HOUR, lead=5 * MINUTE, categories="NETWORK,IOSTREAM",
         ),
         events, k=10,
     )
@@ -73,19 +71,22 @@ def main() -> None:
 
     # ------------------------------------------------------------------ #
     print("\n=== Figure 4 — rule-based predictor vs prediction window ===")
-    points = prediction_window_sweep(
-        lambda w: RuleBasedPredictor(rule_window=15 * MINUTE,
-                                     prediction_window=w),
-        events, windows=WINDOWS, k=10,
+    points = sweep(
+        PredictorSpec.rule(rule_window=15 * MINUTE).grid(
+            "prediction_window", WINDOWS
+        ),
+        events, k=10,
     )
     print(format_sweep(points))
     print("  paper: precision 0.7-0.9, recall rising 0.22 -> 0.55")
 
     # ------------------------------------------------------------------ #
     print("\n=== Figure 5 — meta-learner vs prediction window ===")
-    points = prediction_window_sweep(
-        lambda w: MetaLearner(prediction_window=w, rule_window=15 * MINUTE),
-        events, windows=WINDOWS, k=10,
+    points = sweep(
+        PredictorSpec.meta(rule_window=15 * MINUTE).grid(
+            "prediction_window", WINDOWS
+        ),
+        events, k=10,
     )
     print(format_sweep(points))
     print("  paper: precision 0.88 -> 0.65, recall 0.64 -> 0.78")

@@ -28,7 +28,6 @@ from repro.core.serialize import load_model, save_model
 from repro.evaluation.crossval import cross_validate
 from repro.evaluation.matching import match_warnings
 from repro.evaluation.metrics import Metrics
-from repro.meta.multi import MultiMeta
 from repro.meta.stacked import MetaLearner
 from repro.obs import MetricsRegistry
 from repro.predictors.base import FailureWarning
@@ -52,7 +51,6 @@ __all__ = [
     "save_model",
     "load_model",
     "MetaLearner",
-    "MultiMeta",
     "OnlineSession",
     "StatisticalPredictor",
     "RuleBasedPredictor",

@@ -1423,6 +1423,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             _make_spec(method, args, args.prediction_window),
             events, k=args.folds,
             jobs=args.jobs, cache_dir=args.cache_dir,
+            incremental=args.incremental,
         )
         rows[method] = (cv.precision, cv.recall)
     print(comparison_table(
@@ -1430,11 +1431,12 @@ def cmd_report(args: argparse.Namespace) -> int:
                     f"({args.folds}-fold CV)"))
     print()
 
-    meta_spec = PredictorSpec.meta(rule_window=rw)
+    meta_spec = _make_spec("meta", args, args.prediction_window)
     points = sweep(
         meta_spec.grid("prediction_window", windows),
         events, k=args.folds,
         jobs=args.jobs, cache_dir=args.cache_dir,
+        incremental=args.incremental,
     )
     print(sweep_chart(points, title="Meta-learner sweep (paper Figure 5)"))
     print()
@@ -1477,6 +1479,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         k=args.folds,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
+        incremental=args.incremental,
     )
     write_sweep_csv(points, outdir / f"sweep_{args.method}.csv")
     print(

@@ -59,7 +59,6 @@ from repro.evaluation.spatial import (
 from repro.evaluation.spec import PredictorSpec, SpecError, registered_spec_kinds
 from repro.evaluation.sweep import (
     SweepPoint,
-    prediction_window_sweep,
     select_rule_window,
     sweep,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "supports_incremental",
     "SweepPoint",
     "sweep",
-    "prediction_window_sweep",
     "select_rule_window",
     "LeadTimePoint",
     "lead_time_profile",

@@ -8,37 +8,33 @@ Folds are *contiguous in time* (the log is a time series; shuffling records
 would leak future context into training), matching the paper's equal-size
 division of the log.
 
-Predictors are described either by a :class:`~repro.evaluation.spec.PredictorSpec`
-(preferred — picklable, so folds can run on a process pool, and hashable, so
-fitted artifacts can be cached; see :mod:`repro.evaluation.engine`) or by the
-legacy zero-argument factory callable.  Factories cannot cross a process
-boundary and have no stable cache identity, so they always run serially and
-uncached.
+Predictors are described by a :class:`~repro.evaluation.spec.PredictorSpec`:
+picklable, so folds can run on a process pool, and hashable, so fitted
+artifacts can be cached (see :mod:`repro.evaluation.engine`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from repro.evaluation.engine import FoldTask, run_fold_tasks, spawn_task_seeds
 from repro.evaluation.matching import MatchResult, match_warnings
 from repro.evaluation.metrics import Metrics, mean_metrics, micro_metrics
 from repro.evaluation.spec import PredictorSpec
 from repro.obs import get_registry
-from repro.predictors.base import Predictor
 from repro.ras.store import EventStore
 
-#: A zero-argument factory producing a fresh (unfitted) predictor per fold.
-#: Legacy convention — prefer :class:`PredictorSpec`, which is picklable
-#: (parallel-safe) and stably hashable (cacheable).
-PredictorFactory = Callable[[], Predictor]
 
-#: Either way of describing the predictor under evaluation.
-PredictorLike = Union[PredictorSpec, PredictorFactory]
+def require_spec(predictor: object) -> PredictorSpec:
+    """``predictor`` itself; :class:`TypeError` unless it is a spec."""
+    if not isinstance(predictor, PredictorSpec):
+        raise TypeError(
+            f"expected a PredictorSpec, got {type(predictor).__name__}; "
+            f"describe the predictor with PredictorSpec.of(kind, **params)"
+        )
+    return predictor
 
 
 def fold_index_ranges(n: int, k: int) -> list[tuple[int, int]]:
@@ -113,7 +109,7 @@ class CVResult:
 
 
 def cross_validate(
-    predictor: PredictorLike,
+    predictor: PredictorSpec,
     events: EventStore,
     k: int = 10,
     *,
@@ -124,82 +120,46 @@ def cross_validate(
 ) -> CVResult:
     """k-fold CV of a predictor over a preprocessed event store.
 
-    For each fold, a fresh predictor realized from ``predictor`` (a
-    :class:`PredictorSpec`, or a legacy zero-argument factory) is fitted on
-    the complement (the remaining k-1 folds, concatenated in time order) and
-    scored on the fold.
+    For each fold, a fresh predictor built from the spec ``predictor`` is
+    fitted on the complement (the remaining k-1 folds, concatenated in time
+    order) and scored on the fold.
 
-    With a spec, folds execute on the evaluation engine: ``jobs`` selects
-    the worker count (``None`` → ``REPRO_JOBS`` → serial), ``cache_dir``
-    enables the content-addressed fit-artifact cache (``None`` →
-    ``REPRO_CACHE_DIR`` → off), and ``seed`` spawns one child
-    ``SeedSequence`` per fold for seeded predictor kinds, and
-    ``incremental`` (``None`` → ``REPRO_INCREMENTAL`` → off) lets the
-    serial backend maintain mining state across folds.  Results are
-    identical across worker counts, cache states, and the incremental
-    switch.
-
-    Legacy factories run serially in-process (closures cannot be pickled to
-    workers nor hashed into cache keys); ``jobs``/``cache_dir``/``seed`` are
-    ignored for them.
+    Folds execute on the evaluation engine: ``jobs`` selects the worker
+    count (``None`` → ``REPRO_JOBS`` → serial), ``cache_dir`` enables the
+    content-addressed fit-artifact cache (``None`` → ``REPRO_CACHE_DIR`` →
+    off), ``seed`` spawns one child ``SeedSequence`` per fold for seeded
+    predictor kinds, and ``incremental`` (``None`` → ``REPRO_INCREMENTAL``
+    → off) lets the serial backend maintain mining state across folds.
+    Results are identical across worker counts, cache states, and the
+    incremental switch.
     """
-    n = len(events)
-    ranges = fold_index_ranges(n, k)
+    spec = require_spec(predictor)
+    ranges = fold_index_ranges(len(events), k)
+    seeds = spawn_task_seeds(seed, len(ranges))
+    tasks = [
+        FoldTask(spec=spec, start=start, end=end, fold=fold, seed=seeds[fold])
+        for fold, (start, end) in enumerate(ranges)
+    ]
+    outcomes = run_fold_tasks(
+        tasks, events, jobs=jobs, cache_dir=cache_dir, incremental=incremental,
+    )
     obs = get_registry()
-    if isinstance(predictor, PredictorSpec):
-        seeds = spawn_task_seeds(seed, len(ranges))
-        tasks = [
-            FoldTask(spec=predictor, start=start, end=end, fold=fold,
-                     seed=seeds[fold])
-            for fold, (start, end) in enumerate(ranges)
-        ]
-        outcomes = run_fold_tasks(
-            tasks, events, jobs=jobs, cache_dir=cache_dir,
-            incremental=incremental,
-        )
-        for outcome in outcomes:
-            obs.observe("crossval.fold_seconds", outcome.seconds)
-        obs.counter("crossval.folds", k)
-        return CVResult(
-            fold_metrics=[o.match.metrics for o in outcomes],
-            fold_matches=[o.match for o in outcomes],
-        )
-    return _cross_validate_factory(predictor, events, ranges)
-
-
-def _cross_validate_factory(
-    factory: PredictorFactory,
-    events: EventStore,
-    ranges: list[tuple[int, int]],
-) -> CVResult:
-    """Serial in-process fold loop for legacy factory callables."""
-    n = len(events)
-    all_idx = np.arange(n)
-    fold_metrics: list[Metrics] = []
-    fold_matches: list[MatchResult] = []
-    obs = get_registry()
-    for fold, (start, end) in enumerate(ranges):
-        with obs.span("crossval.fold", fold=str(fold)) as sp:
-            test = events.select(slice(start, end))
-            train_idx = np.concatenate([all_idx[:start], all_idx[end:]])
-            train = events.select(train_idx)
-            predictor = factory()
-            predictor.fit(train)
-            warnings = predictor.predict(test)
-            match = match_warnings(warnings, test)
-            fold_metrics.append(match.metrics)
-            fold_matches.append(match)
-        obs.observe("crossval.fold_seconds", sp.duration)
-    obs.counter("crossval.folds", len(ranges))
-    return CVResult(fold_metrics=fold_metrics, fold_matches=fold_matches)
+    for outcome in outcomes:
+        obs.observe("crossval.fold_seconds", outcome.seconds)
+    obs.counter("crossval.folds", k)
+    return CVResult(
+        fold_metrics=[o.match.metrics for o in outcomes],
+        fold_matches=[o.match for o in outcomes],
+    )
 
 
 def holdout_validate(
-    predictor: PredictorLike,
+    predictor: PredictorSpec,
     events: EventStore,
     train_fraction: float = 0.7,
 ) -> tuple[Metrics, MatchResult]:
     """Single chronological train/test split (quick evaluations, examples)."""
+    spec = require_spec(predictor)
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     n = len(events)
@@ -208,9 +168,7 @@ def holdout_validate(
         raise ValueError("split leaves an empty partition")
     train = events.select(slice(0, cut))
     test = events.select(slice(cut, n))
-    instance = (
-        predictor.build() if isinstance(predictor, PredictorSpec) else predictor()
-    )
+    instance = spec.build()
     instance.fit(train)
     match = match_warnings(instance.predict(test), test)
     return match.metrics, match

@@ -1,10 +1,7 @@
 """Declarative, picklable predictor specifications.
 
-The old evaluation convention — zero-argument factory closures
-(``lambda w=w: factory(w)``) — cannot cross a process boundary and has no
-stable identity, so it can neither feed a :class:`ProcessPoolExecutor` nor
-key an artifact cache.  :class:`PredictorSpec` replaces it: a frozen
-dataclass of ``(kind, parameters)`` that
+:class:`PredictorSpec` is the only predictor description the evaluation
+entry points accept: a frozen dataclass of ``(kind, parameters)`` that
 
 - **builds** a fresh unfitted predictor (:meth:`PredictorSpec.build`),
 - **pickles** (plain data, no closures — workers rebuild predictors
@@ -21,14 +18,11 @@ are shared across them), and whether the builder accepts a ``seed``.
 Parameters are normalized against the builder's signature at construction,
 so two spellings of the same configuration always carry the same token.
 
-Migration from the factory convention::
+Example::
 
-    # before                                    # after
-    cross_validate(                             cross_validate(
-        lambda: MetaLearner(                        PredictorSpec.meta(
-            prediction_window=w,                        prediction_window=w,
-            rule_window=rw),                            rule_window=rw),
-        events, k=10)                               events, k=10, jobs=4)
+    cross_validate(
+        PredictorSpec.meta(prediction_window=w, rule_window=rw),
+        events, k=10, jobs=4)
 """
 
 from __future__ import annotations
@@ -41,6 +35,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.core.config import PredictorConfig
 from repro.core.pipeline import ThreePhasePredictor
+from repro.meta.ensembles import PolicyEnsemble
 from repro.meta.stacked import MetaLearner
 from repro.predictors.base import Predictor
 from repro.predictors.rulebased import RuleBasedPredictor
@@ -402,6 +397,10 @@ def _build_three_phase(
     ))
 
 
+def _build_policy(policy: str) -> PolicyEnsemble:
+    return PolicyEnsemble(policy)
+
+
 register_spec_kind(
     "statistical",
     _build_statistical,
@@ -436,4 +435,11 @@ register_spec_kind(
         "miner", "statistical_lead", "statistical_window",
         "trigger_threshold",
     ),
+)
+register_spec_kind(
+    "policy",
+    _build_policy,
+    # The dispatch-ablation ensembles fit both bases at their defaults; the
+    # policy only combines their warning streams at predict time.
+    fit_params=(),
 )

@@ -10,33 +10,24 @@ process pool interleaves folds from different windows, and the artifact
 cache deduplicates training work across points that share fit parameters
 (a rule set mined once serves every prediction window).
 
-:func:`prediction_window_sweep` remains for legacy window-factory callables
-(serial, uncached).  The ``rule_window_sweep`` alias it once carried is
-gone — sweep rule-generation windows explicitly with
-``sweep(spec.grid("rule_window", windows), events, ...)``.
+Both of the paper's sweeps use the same idiom:
+``sweep(spec.grid("prediction_window", windows), events, ...)`` for
+Figures 4-5 and ``sweep(spec.grid("rule_window", windows), events, ...)``
+for Step 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from repro.evaluation.crossval import (
-    CVResult,
-    cross_validate,
-    fold_index_ranges,
-)
+from repro.evaluation.crossval import CVResult, fold_index_ranges, require_spec
 from repro.evaluation.engine import FoldTask, run_fold_tasks, spawn_task_seeds
 from repro.evaluation.spec import PredictorSpec
 from repro.obs import get_registry
-from repro.predictors.base import Predictor
 from repro.ras.store import EventStore
 from repro.util.timeutil import MINUTE
-
-#: Factory parameterized by a window length in seconds (legacy convention;
-#: prefer spec grids, which are picklable and cacheable).
-WindowFactory = Callable[[float], Predictor]
 
 #: The paper's sweep grid: 5 minutes to 1 hour.
 DEFAULT_WINDOWS: tuple[float, ...] = tuple(
@@ -66,15 +57,6 @@ class SweepPoint:
         return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
-def _point(window: float, result: CVResult) -> SweepPoint:
-    return SweepPoint(
-        window=float(window),
-        precision=result.precision,
-        recall=result.recall,
-        result=result,
-    )
-
-
 def sweep(
     grid: SpecGrid,
     events: EventStore,
@@ -98,7 +80,7 @@ def sweep(
     refitting per point.  Point order follows ``grid`` order; results are
     identical across worker counts and the incremental switch.
     """
-    grid = list(grid)
+    grid = [(window, require_spec(spec)) for window, spec in grid]
     if not grid:
         raise ValueError("empty sweep grid")
     ranges = fold_index_ranges(len(events), k)
@@ -132,38 +114,13 @@ def sweep(
             fold_metrics=[o.match.metrics for o in mine],
             fold_matches=[o.match for o in mine],
         )
-        points.append(_point(window, result))
+        points.append(SweepPoint(
+            window=float(window),
+            precision=result.precision,
+            recall=result.recall,
+            result=result,
+        ))
     return points
-
-
-def prediction_window_sweep(
-    factory: Union[WindowFactory, PredictorSpec],
-    events: EventStore,
-    windows: Sequence[float] = DEFAULT_WINDOWS,
-    k: int = 10,
-    *,
-    jobs: Optional[int] = None,
-    cache_dir: Union[str, Path, None] = None,
-) -> list[SweepPoint]:
-    """Cross-validate a predictor at each prediction window (Figures 4-5).
-
-    Passing a :class:`PredictorSpec` sweeps its ``prediction_window``
-    parameter through the engine (equivalent to
-    ``sweep(spec.grid("prediction_window", windows), ...)``).  Passing a
-    legacy window-factory callable runs each point serially in-process.
-    """
-    if isinstance(factory, PredictorSpec):
-        return sweep(
-            factory.grid("prediction_window", windows),
-            events,
-            k=k,
-            jobs=jobs,
-            cache_dir=cache_dir,
-        )
-    return [
-        _point(w, cross_validate(lambda w=w: factory(w), events, k=k))
-        for w in windows
-    ]
 
 
 def select_rule_window(

@@ -8,7 +8,6 @@
 """
 
 from repro.meta.ensembles import PolicyEnsemble
-from repro.meta.multi import MultiMeta
 from repro.meta.stacked import MetaLearner, MetaStream
 
-__all__ = ["MetaLearner", "MetaStream", "MultiMeta", "PolicyEnsemble"]
+__all__ = ["MetaLearner", "MetaStream", "PolicyEnsemble"]

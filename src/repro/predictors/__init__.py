@@ -6,8 +6,6 @@
   temporal correlation among fatal events (§3.2.1).
 - :mod:`repro.predictors.rulebased` — the association-rule predictor
   exploiting causal correlation between non-fatal and fatal events (§3.2.2).
-- :mod:`repro.predictors.extensions` — additional predictors beyond the
-  paper (periodicity-based, trivial baselines) used for ablations.
 """
 
 from repro.predictors.base import (
@@ -17,7 +15,6 @@ from repro.predictors.base import (
     dedup_warnings,
     merge_warning_streams,
 )
-from repro.predictors.bayes import BayesPredictor
 from repro.predictors.rulebased import RuleBasedPredictor
 from repro.predictors.statistical import StatisticalPredictor, failure_gap_cdf
 
@@ -29,6 +26,5 @@ __all__ = [
     "merge_warning_streams",
     "StatisticalPredictor",
     "RuleBasedPredictor",
-    "BayesPredictor",
     "failure_gap_cdf",
 ]

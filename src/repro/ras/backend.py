@@ -179,12 +179,6 @@ class MemoryBackend:
     def storage_path(self) -> Optional[str]:
         return None
 
-    def replace_column(self, name: str, values: np.ndarray) -> "MemoryBackend":
-        """A new backend with one column swapped (same tables)."""
-        columns = dict(self._columns)
-        columns[name] = np.asarray(values, dtype=COLUMN_DTYPES[name])
-        return MemoryBackend(columns, self._tables)
-
     # MemoryBackend participates in store pickling (the process-pool engine
     # ships in-memory stores to workers); only the raw data travels.
     def __getstate__(self) -> tuple[dict[str, np.ndarray], dict[str, list[str]]]:

@@ -22,22 +22,20 @@ Invariants
 - ``times`` is kept sorted (ascending); constructors sort on ingest, and
   every derived store preserves order.  Sortedness is what allows
   ``searchsorted``-based O(log n) window queries.
-- Column arrays are **read-only views** (``writeable=False``).  Assigning to
-  ``store.times`` et al. still works through a ``DeprecationWarning`` shim
-  that materializes a fresh in-memory backend, but new code must derive new
-  stores instead (RL014 flags column writes outside ``repro.ras``).
+- Column arrays are **read-only views** (``writeable=False``) and the
+  column attributes cannot be rebound (``store.times = ...`` raises
+  ``AttributeError``); derive a new store instead (RL014 flags column
+  writes outside ``repro.ras``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.ras.backend import (
-    COLUMN_DTYPES,
     COLUMN_NAMES,
     TABLE_NAMES,
     InternTable,
@@ -59,11 +57,6 @@ _ITER_ROWS = 1024
 
 _FACILITIES: dict[int, Facility] = {int(f): f for f in Facility}
 _SEVERITIES: dict[int, Severity] = {int(s): s for s in Severity}
-
-#: Backwards-compatible alias — the intern table now lives in
-#: :mod:`repro.ras.backend` so both backends and the columnar format share it.
-_InternTable = InternTable
-
 
 @dataclass(slots=True)
 class EventBatch:
@@ -140,20 +133,13 @@ class EventBatch:
 
 
 def _column_property(name: str) -> property:
-    """A read-only column accessor with a deprecation shim for assignment."""
+    """A read-only column accessor; assigning it raises ``AttributeError``."""
 
     def getter(self: "EventStore") -> np.ndarray:
         return self._backend.column(name)
 
-    def setter(self: "EventStore", values: np.ndarray) -> None:
-        self._mutate_column(name, values)
-
     getter.__name__ = name
-    return property(
-        getter,
-        setter,
-        doc=f"Read-only ``{name}`` column view (assignment is deprecated).",
-    )
+    return property(getter, doc=f"Read-only ``{name}`` column view.")
 
 
 class EventStore:
@@ -174,8 +160,7 @@ class EventStore:
 
     __slots__ = ("_backend",)
 
-    # Column accessors: ``store.times`` etc. read straight from the backend;
-    # assignment is deprecated and materializes a fresh in-memory backend.
+    # Column accessors: ``store.times`` etc. read straight from the backend.
     times = _column_property("times")
     severities = _column_property("severities")
     facilities = _column_property("facilities")
@@ -261,28 +246,6 @@ class EventStore:
         ]
         tables = [self._backend.table(name).copy() for name in TABLE_NAMES]
         return EventStore(*columns, *tables)
-
-    def _mutate_column(self, name: str, values: np.ndarray) -> None:
-        """Deprecated in-place column assignment (``store.times = ...``)."""
-        warnings.warn(
-            f"assigning EventStore.{name} is deprecated; stores are "
-            "immutable — derive a new store (select/with_subcat_ids/"
-            "from_columns) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        arr = np.asarray(values, dtype=COLUMN_DTYPES[name])
-        if arr.shape != (len(self),):
-            raise ValueError(
-                f"column {name} has shape {arr.shape}, expected ({len(self)},)"
-            )
-        backend = self._backend
-        if not isinstance(backend, MemoryBackend):
-            backend = MemoryBackend(
-                {n: np.array(backend.column(n)) for n in COLUMN_NAMES},
-                {n: backend.table(n).copy() for n in TABLE_NAMES},
-            )
-        self._backend = backend.replace_column(name, arr)
 
     # Intern tables, named for the internal call sites.
     @property

@@ -1,6 +1,7 @@
 """Tests for the export CLI subcommand."""
 
 import csv
+import importlib
 
 import pytest
 
@@ -48,3 +49,34 @@ def test_export_creates_outdir(log_path, tmp_path):
     ])
     assert rc == 0
     assert (outdir / "sweep_rule.csv").exists()
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Record every ``sweep`` call the CLI makes, then run the real one."""
+    # The package attribute ``repro.cli.main`` is the entry-point function,
+    # not the module, so look the module up by name.
+    cli = importlib.import_module("repro.cli.main")
+    calls = []
+    real = cli.sweep
+
+    def recording(grid, events, **kwargs):
+        calls.append((list(grid), kwargs))
+        return real(grid, events, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep", recording)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["report", "export"])
+def test_engine_and_predictor_flags_reach_the_sweep(
+    command, log_path, tmp_path, sweep_calls
+):
+    argv = [command, str(log_path), "--folds", "3", "--windows", "15,60",
+            "--min-support", "0.08", "--incremental"]
+    if command == "export":
+        argv += ["-o", str(tmp_path / "csvs")]
+    assert main(argv) == 0
+    (grid, kwargs), = sweep_calls
+    assert kwargs["incremental"] is True
+    assert [spec.get("min_support") for _, spec in grid] == [0.08, 0.08]

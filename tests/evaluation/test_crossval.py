@@ -8,11 +8,13 @@ from repro.evaluation.crossval import (
     fold_index_ranges,
     holdout_validate,
 )
+from repro.evaluation.matching import match_warnings
 from repro.evaluation.metrics import Metrics, micro_metrics
 from repro.evaluation.spec import PredictorSpec
-from repro.predictors.base import Predictor
+from repro.evaluation.sweep import sweep
 from repro.predictors.statistical import StatisticalPredictor
 from repro.util.timeutil import HOUR, MINUTE
+from tests.oracles import reference_cross_validate
 
 
 def test_fold_index_ranges_partition():
@@ -55,43 +57,35 @@ def test_fold_index_ranges_k_below_two_rejected():
             fold_index_ranges(100, bad_k)
 
 
-class _CountingPredictor(Predictor):
-    """Remembers the stores it saw; predicts nothing."""
-
-    name = "counting"
-    instances = []
-
-    def __init__(self):
-        super().__init__()
-        self.train_len = None
-        _CountingPredictor.instances.append(self)
-
-    def fit(self, events):
-        self.train_len = len(events)
-        self._fitted = True
-        return self
-
-    def predict(self, events):
-        self._check_fitted()
-        return []
+@pytest.mark.parametrize(
+    "predictor", [lambda: StatisticalPredictor(), StatisticalPredictor],
+    ids=["lambda", "predictor-class"],
+)
+def test_entry_points_accept_only_specs(predictor, anl_events):
+    with pytest.raises(TypeError, match="PredictorSpec"):
+        cross_validate(predictor, anl_events, k=5)
+    with pytest.raises(TypeError, match="PredictorSpec"):
+        holdout_validate(predictor, anl_events, train_fraction=0.7)
+    with pytest.raises(TypeError, match="PredictorSpec"):
+        sweep([(30 * MINUTE, predictor)], anl_events, k=5)
 
 
 def test_cross_validate_fold_structure(anl_events):
-    _CountingPredictor.instances = []
-    result = cross_validate(_CountingPredictor, anl_events, k=5)
+    """One fresh predictor per contiguous fold, fold for fold the serial
+    reference loop's result."""
+    result = cross_validate(
+        PredictorSpec.statistical(window=HOUR, lead=5 * MINUTE), anl_events, k=5
+    )
+    reference = reference_cross_validate(
+        lambda: StatisticalPredictor(window=HOUR, lead=5 * MINUTE), anl_events, 5
+    )
     assert result.k == 5
-    assert len(_CountingPredictor.instances) == 5  # fresh predictor per fold
-    n = len(anl_events)
-    for p in _CountingPredictor.instances:
-        assert p.train_len in (n - n // 5, n - n // 5 - 1)
-    # Fatals across test folds partition all fatals.
-    total_fatals = sum(m.n_fatals for m in result.fold_metrics)
-    assert total_fatals == len(anl_events.fatal_events())
+    assert result.fold_metrics == reference.fold_metrics
 
 
 def test_cross_validate_averages(anl_events):
     result = cross_validate(
-        lambda: StatisticalPredictor(window=HOUR, lead=5 * MINUTE),
+        PredictorSpec.statistical(window=HOUR, lead=5 * MINUTE),
         anl_events,
         k=5,
     )
@@ -133,7 +127,7 @@ def test_micro_differs_from_macro_on_uneven_folds():
 
 
 def test_cross_validate_spec_fold_structure(anl_events):
-    """The engine path partitions fatals exactly like the factory path."""
+    """Fatals across test folds partition all fatals."""
     result = cross_validate(PredictorSpec.rule(), anl_events, k=5)
     assert result.k == 5
     total_fatals = sum(m.n_fatals for m in result.fold_metrics)
@@ -141,22 +135,23 @@ def test_cross_validate_spec_fold_structure(anl_events):
 
 
 def test_holdout_validate_accepts_spec(anl_events):
+    """The spec holdout equals fitting by hand on the chronological split."""
     metrics, _ = holdout_validate(
         PredictorSpec.statistical(window=HOUR, lead=5 * MINUTE),
         anl_events,
         train_fraction=0.7,
     )
-    legacy_metrics, _ = holdout_validate(
-        lambda: StatisticalPredictor(window=HOUR, lead=5 * MINUTE),
-        anl_events,
-        train_fraction=0.7,
+    cut = int(len(anl_events) * 0.7)
+    test = anl_events.select(slice(cut, len(anl_events)))
+    by_hand = StatisticalPredictor(window=HOUR, lead=5 * MINUTE).fit(
+        anl_events.select(slice(0, cut))
     )
-    assert metrics == legacy_metrics
+    assert metrics == match_warnings(by_hand.predict(test), test).metrics
 
 
 def test_holdout_validate(anl_events):
     metrics, match = holdout_validate(
-        lambda: StatisticalPredictor(window=HOUR, lead=5 * MINUTE),
+        PredictorSpec.statistical(window=HOUR, lead=5 * MINUTE),
         anl_events,
         train_fraction=0.7,
     )
@@ -166,4 +161,4 @@ def test_holdout_validate(anl_events):
 
 def test_holdout_validation_errors(anl_events):
     with pytest.raises(ValueError):
-        holdout_validate(lambda: StatisticalPredictor(), anl_events, 0.0)
+        holdout_validate(PredictorSpec.statistical(), anl_events, 0.0)

@@ -15,6 +15,7 @@ from repro.evaluation.engine import (
 from repro.evaluation.spec import PredictorSpec
 from repro.evaluation.sweep import sweep
 from repro.util.timeutil import MINUTE
+from tests.oracles import reference_cross_validate
 
 RULE_SPEC = PredictorSpec.rule(rule_window=15 * MINUTE)
 
@@ -165,16 +166,15 @@ def test_rule_window_points_do_not_share(anl_events, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Legacy callables
+# Reference fold loop
 # --------------------------------------------------------------------- #
 
 
-def test_factory_callable_still_works_and_matches_spec(anl_events):
+def test_spec_cv_matches_reference_fold_loop(anl_events):
     from repro.predictors.rulebased import RuleBasedPredictor
 
-    legacy = cross_validate(
-        lambda: RuleBasedPredictor(rule_window=15 * MINUTE),
-        anl_events, k=4,
+    reference = reference_cross_validate(
+        lambda: RuleBasedPredictor(rule_window=15 * MINUTE), anl_events, 4
     )
     modern = cross_validate(RULE_SPEC, anl_events, k=4)
-    assert legacy.fold_metrics == modern.fold_metrics
+    assert reference.fold_metrics == modern.fold_metrics

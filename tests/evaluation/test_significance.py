@@ -92,17 +92,16 @@ def test_on_real_cv_meta_vs_statistical(anl_events):
     """Meta's recall edge over the statistical base is significant even on
     the small fixture."""
     from repro.evaluation.crossval import cross_validate
-    from repro.meta.stacked import MetaLearner
-    from repro.predictors.statistical import StatisticalPredictor
+    from repro.evaluation.spec import PredictorSpec
     from repro.util.timeutil import HOUR, MINUTE
 
     meta = cross_validate(
-        lambda: MetaLearner(prediction_window=30 * MINUTE,
-                            rule_window=15 * MINUTE),
+        PredictorSpec.meta(prediction_window=30 * MINUTE,
+                           rule_window=15 * MINUTE),
         anl_events, k=5,
     )
     stat = cross_validate(
-        lambda: StatisticalPredictor(window=HOUR, lead=5 * MINUTE),
+        PredictorSpec.statistical(window=HOUR, lead=5 * MINUTE),
         anl_events, k=5,
     )
     ci = bootstrap_ci(meta, "recall", seed=1)

@@ -11,6 +11,7 @@ from repro.evaluation.spec import (
     registered_spec_kinds,
     spec_kind,
 )
+from repro.meta.ensembles import PolicyEnsemble
 from repro.meta.stacked import MetaLearner
 from repro.predictors.rulebased import RuleBasedPredictor
 from repro.predictors.statistical import StatisticalPredictor
@@ -20,7 +21,7 @@ from repro.util.timeutil import HOUR, MINUTE
 
 def test_builtin_kinds_registered():
     assert set(registered_spec_kinds()) >= {
-        "statistical", "rule", "meta", "three-phase",
+        "statistical", "rule", "meta", "three-phase", "policy",
     }
 
 
@@ -29,6 +30,9 @@ def test_build_each_kind():
     assert isinstance(PredictorSpec.rule().build(), RuleBasedPredictor)
     assert isinstance(PredictorSpec.meta().build(), MetaLearner)
     assert isinstance(PredictorSpec.three_phase().build(), ThreePhasePredictor)
+    ensemble = PredictorSpec.of("policy", policy="union").build()
+    assert isinstance(ensemble, PolicyEnsemble)
+    assert ensemble.policy == "union"
 
 
 def test_params_are_normalized_to_full_sorted_set():
@@ -54,11 +58,15 @@ def test_param_values_must_be_primitive():
 
 
 def test_spec_pickles_and_hashes():
-    spec = PredictorSpec.meta(prediction_window=30 * MINUTE)
-    clone = pickle.loads(pickle.dumps(spec))
-    assert clone == spec
-    assert hash(clone) == hash(spec)
-    assert clone.token() == spec.token()
+    for spec in (
+        PredictorSpec.meta(prediction_window=30 * MINUTE),
+        PredictorSpec.of("policy", policy="intersection"),
+    ):
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert hash(clone) == hash(spec)
+        assert clone.token() == spec.token()
+        assert PredictorSpec.from_dict(spec.as_manifest()).token() == spec.token()
 
 
 def test_build_applies_parameters():

@@ -7,12 +7,14 @@ from repro.evaluation.sweep import (
     DEFAULT_WINDOWS,
     SweepPoint,
     format_sweep,
-    prediction_window_sweep,
     select_rule_window,
     sweep,
 )
 from repro.predictors.rulebased import RuleBasedPredictor
 from repro.util.timeutil import MINUTE
+from tests.oracles import reference_cross_validate
+
+RULE_SPEC = PredictorSpec.rule(rule_window=15 * MINUTE)
 
 
 def test_default_windows_are_papers():
@@ -22,14 +24,7 @@ def test_default_windows_are_papers():
 
 def test_sweep_runs_each_window(anl_events):
     windows = [10 * MINUTE, 30 * MINUTE]
-    points = prediction_window_sweep(
-        lambda w: RuleBasedPredictor(
-            rule_window=15 * MINUTE, prediction_window=w
-        ),
-        anl_events,
-        windows=windows,
-        k=4,
-    )
+    points = sweep(RULE_SPEC.grid("prediction_window", windows), anl_events, k=4)
     assert [p.window for p in points] == windows
     assert all(0 <= p.precision <= 1 and 0 <= p.recall <= 1 for p in points)
     assert points[0].window_minutes == 10
@@ -37,12 +32,9 @@ def test_sweep_runs_each_window(anl_events):
 
 def test_rule_recall_rises_with_window(anl_events):
     """The paper's Figure-4 trend on the small log."""
-    points = prediction_window_sweep(
-        lambda w: RuleBasedPredictor(
-            rule_window=15 * MINUTE, prediction_window=w
-        ),
+    points = sweep(
+        RULE_SPEC.grid("prediction_window", [5 * MINUTE, 60 * MINUTE]),
         anl_events,
-        windows=[5 * MINUTE, 60 * MINUTE],
         k=4,
     )
     assert points[1].recall >= points[0].recall
@@ -69,28 +61,23 @@ def test_rule_window_sweep_via_spec_grid(anl_events):
 
 
 def test_spec_sweep_matches_factory_sweep(anl_events):
-    """The engine-backed grid sweep reproduces the legacy path exactly."""
+    """The engine-backed grid sweep reproduces the serial reference loop
+    over window factories exactly."""
     windows = [10 * MINUTE, 30 * MINUTE]
-    legacy = prediction_window_sweep(
-        lambda w: RuleBasedPredictor(
-            rule_window=15 * MINUTE, prediction_window=w
-        ),
-        anl_events,
-        windows=windows,
-        k=4,
-    )
-    spec = PredictorSpec.rule(rule_window=15 * MINUTE)
-    modern = sweep(spec.grid("prediction_window", windows), anl_events, k=4)
-    assert [(p.window, p.precision, p.recall) for p in legacy] == [
+    reference = [
+        reference_cross_validate(
+            lambda w=w: RuleBasedPredictor(
+                rule_window=15 * MINUTE, prediction_window=w
+            ),
+            anl_events,
+            4,
+        )
+        for w in windows
+    ]
+    modern = sweep(RULE_SPEC.grid("prediction_window", windows), anl_events, k=4)
+    assert [(w, cv.precision, cv.recall) for w, cv in zip(windows, reference)] == [
         (p.window, p.precision, p.recall) for p in modern
     ]
-
-
-def test_prediction_window_sweep_accepts_spec(anl_events):
-    windows = [10 * MINUTE, 20 * MINUTE]
-    spec = PredictorSpec.rule(rule_window=15 * MINUTE)
-    points = prediction_window_sweep(spec, anl_events, windows=windows, k=4)
-    assert [p.window for p in points] == windows
 
 
 def test_sweep_rejects_empty_grid(anl_events):

@@ -3,8 +3,8 @@
 
 from repro.core.pipeline import ThreePhasePredictor
 from repro.evaluation.crossval import cross_validate
+from repro.evaluation.spec import PredictorSpec
 from repro.meta.stacked import MetaLearner
-from repro.predictors.rulebased import RuleBasedPredictor
 from repro.predictors.statistical import StatisticalPredictor
 from repro.ras.logfile import read_log, write_log
 from repro.taxonomy.categories import MainCategory
@@ -28,7 +28,7 @@ def test_log_file_roundtrip_preserves_pipeline_results(small_anl_log, tmp_path):
 def test_both_profiles_full_pipeline(anl_events, sdsc_events):
     for events in (anl_events, sdsc_events):
         cv = cross_validate(
-            lambda: MetaLearner(
+            PredictorSpec.meta(
                 prediction_window=30 * MINUTE, rule_window=15 * MINUTE
             ),
             events,
@@ -43,15 +43,15 @@ def test_meta_dominates_bases_in_cv(anl_events):
     k = 5
     W, G = 30 * MINUTE, 15 * MINUTE
     stat = cross_validate(
-        lambda: StatisticalPredictor(window=HOUR, lead=5 * MINUTE),
+        PredictorSpec.statistical(window=HOUR, lead=5 * MINUTE),
         anl_events, k=k,
     )
     rule = cross_validate(
-        lambda: RuleBasedPredictor(rule_window=G, prediction_window=W),
+        PredictorSpec.rule(rule_window=G, prediction_window=W),
         anl_events, k=k,
     )
     meta = cross_validate(
-        lambda: MetaLearner(prediction_window=W, rule_window=G),
+        PredictorSpec.meta(prediction_window=W, rule_window=G),
         anl_events, k=k,
     )
     assert meta.recall >= max(stat.recall, rule.recall) - 0.02
@@ -62,11 +62,11 @@ def test_rule_precision_exceeds_statistical(anl_events):
     """Paper: the rule method is the high-precision base."""
     k = 5
     stat = cross_validate(
-        lambda: StatisticalPredictor(window=HOUR, lead=5 * MINUTE),
+        PredictorSpec.statistical(window=HOUR, lead=5 * MINUTE),
         anl_events, k=k,
     )
     rule = cross_validate(
-        lambda: RuleBasedPredictor(
+        PredictorSpec.rule(
             rule_window=15 * MINUTE, prediction_window=30 * MINUTE
         ),
         anl_events, k=k,

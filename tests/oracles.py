@@ -8,19 +8,26 @@ the seed's warning resolution (an O(P) deque rebuild per event).
 :func:`reference_event_from_dict` decodes one wire event payload into a
 :class:`RasEvent` (the columnar ``decode_events`` is checked against it) and
 :class:`ReferenceOffers` is a stream channel's admission, one event at a
-time.  Do not optimise these: their value is that they are obviously right,
-and the deque resolver's cost is what the heap resolver is benchmarked
-against.
+time.  :func:`reference_cross_validate` is the serial §3.2 fold loop over
+zero-arg predictor factories that the evaluation engine's spec-based
+``cross_validate`` is checked against.  Do not optimise these: their value
+is that they are obviously right, and the deque resolver's cost is what the
+heap resolver is benchmarked against.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
+import numpy as np
+
+from repro.evaluation.crossval import CVResult, fold_index_ranges
+from repro.evaluation.matching import MatchResult, match_warnings
+from repro.evaluation.metrics import Metrics
 from repro.meta.stacked import MetaLearner, MetaStream
 from repro.online.resolution import SessionStats, WarningResolver
-from repro.predictors.base import FailureWarning
+from repro.predictors.base import FailureWarning, Predictor
 from repro.ras.events import NO_JOB, RasEvent
 from repro.ras.fields import Facility, Severity
 from repro.ras.store import EventStore
@@ -101,6 +108,27 @@ def reference_step(
     if category in ms.trigger_set:
         ms._trigger_history.append(t)
     return out
+
+
+def reference_cross_validate(
+    factory: Callable[[], Predictor], events: EventStore, k: int
+) -> CVResult:
+    """Serial k-fold CV: a fresh ``factory()`` per contiguous fold."""
+    n = len(events)
+    all_idx = np.arange(n)
+    fold_metrics: list[Metrics] = []
+    fold_matches: list[MatchResult] = []
+    for start, end in fold_index_ranges(n, k):
+        test = events.select(slice(start, end))
+        train_idx = np.concatenate([all_idx[:start], all_idx[end:]])
+        train = events.select(train_idx)
+        predictor = factory()
+        predictor.fit(train)
+        warnings = predictor.predict(test)
+        match = match_warnings(warnings, test)
+        fold_metrics.append(match.metrics)
+        fold_matches.append(match)
+    return CVResult(fold_metrics=fold_metrics, fold_matches=fold_matches)
 
 
 def reference_feed(ms: MetaStream, event: RasEvent) -> list[FailureWarning]:

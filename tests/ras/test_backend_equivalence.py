@@ -145,13 +145,14 @@ def test_columns_are_read_only_on_both_backends(memory_raw, columnar_raw):
         assert not store.severities.flags.writeable
 
 
-def test_column_rebind_shim_warns_and_materializes(columnar_raw):
-    clone = columnar_raw.select(np.arange(len(columnar_raw)))
-    shifted = np.asarray(clone.times) + 1
-    with pytest.deprecated_call():
-        clone.times = shifted
-    np.testing.assert_array_equal(np.asarray(clone.times), shifted)
-    assert clone.backend_kind == "memory"  # mutation leaves the mmap behind
+def test_column_rebind_raises_on_both_backends(memory_raw, columnar_raw):
+    for store in (memory_raw, columnar_raw):
+        kind = store.backend_kind
+        before = store_fingerprint(store)
+        with pytest.raises(AttributeError):
+            store.times = np.asarray(store.times) + 1
+        assert store.backend_kind == kind
+        assert store_fingerprint(store) == before
 
 
 def test_columnar_store_pickles_by_path(columnar_raw):

@@ -13,7 +13,7 @@ from pathlib import Path
 from tools.repro_lint.engine import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-LINTED_TREES = ["src", "tests", "benchmarks", "scripts", "tools"]
+LINTED_TREES = ["src", "tests", "benchmarks", "tools"]
 
 
 def test_repository_tree_is_lint_clean():

@@ -372,87 +372,6 @@ def test_rl006_allows_obs_instrumentation_and_is_waivable():
     assert diags == []
 
 
-# ---------------------------------------------------------------- RL007
-
-
-def test_rl007_flags_lambda_factories():
-    diags = lint(
-        """\
-        from repro.evaluation.crossval import cross_validate
-        from repro.evaluation.sweep import prediction_window_sweep
-
-        def measure(events, factory):
-            cv = cross_validate(lambda: factory(1800.0), events, k=10)
-            pts = prediction_window_sweep(
-                lambda w: factory(w), events, k=10
-            )
-            return cv, pts
-        """
-    )
-    assert codes_and_lines(diags) == [("RL007", 5), ("RL007", 6)]
-    assert "lambda factory" in diags[0].message
-
-
-def test_rl007_flags_deprecated_alias_even_without_lambda():
-    diags = lint(
-        """\
-        from repro.evaluation.sweep import rule_window_sweep
-
-        def measure(events, spec):
-            return rule_window_sweep(spec, events, k=10)
-        """
-    )
-    assert codes_and_lines(diags) == [("RL007", 4)]
-    assert "deprecated" in diags[0].message
-
-
-def test_rl007_alias_with_lambda_yields_both_findings():
-    diags = lint(
-        """\
-        from repro.evaluation.sweep import rule_window_sweep
-
-        def measure(events, factory):
-            return rule_window_sweep(lambda g: factory(g), events)
-        """
-    )
-    assert [d.code for d in diags] == ["RL007", "RL007"]
-
-
-def test_rl007_accepts_specs_and_non_library_code():
-    clean = """\
-        from repro.evaluation.crossval import cross_validate
-        from repro.evaluation.spec import PredictorSpec
-
-        def measure(events):
-            spec = PredictorSpec.meta(prediction_window=1800.0)
-            return cross_validate(spec, events, k=10, jobs=4)
-        """
-    assert lint(clean) == []
-    lambda_src = """\
-        from repro.evaluation.crossval import cross_validate
-
-        def measure(events, factory):
-            return cross_validate(lambda: factory(), events)
-        """
-    assert lint(lambda_src, path="benchmarks/bench_x.py") == []
-    assert lint(lambda_src, path="tests/evaluation/test_x.py") == []
-    assert [d.code for d in lint(lambda_src)] == ["RL007"]
-
-
-def test_rl007_waives_the_legacy_shim_module():
-    source = """\
-        from repro.evaluation.crossval import cross_validate
-
-        def prediction_window_sweep(factory, events, windows, k=10):
-            return [
-                cross_validate(lambda w=w: factory(w), events, k=k)
-                for w in windows
-            ]
-        """
-    assert lint(source, path="src/repro/evaluation/sweep.py") == []
-    assert [d.code for d in lint(source)] == ["RL007"]
-
-
 # ---------------------------------------------------------------- RL008
 
 ONLINE_PATH = "src/repro/online/detector.py"

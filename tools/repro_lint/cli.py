@@ -26,7 +26,7 @@ from tools.repro_lint.registry import (
 )
 from tools.repro_lint.sarif import to_sarif_json
 
-DEFAULT_PATHS = ["src", "tests", "benchmarks", "scripts", "tools"]
+DEFAULT_PATHS = ["src", "tests", "benchmarks", "tools"]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,6 @@ from tools.repro_lint.rules import (  # noqa: F401
     rl004_minute_literals,
     rl005_fraction_validation,
     rl006_no_direct_output,
-    rl007_factory_closure,
     rl008_per_event_rebuild,
     rl009_model_persistence,
     rl010_layering,

@@ -2,13 +2,12 @@
 
 The storage-backend redesign froze :class:`~repro.ras.store.EventStore`'s
 column arrays: every public accessor (``.times``, ``.severities``, ...)
-returns a read-only NumPy view, and rebinding a column attribute goes
-through a deprecation shim that exists only for migration.  Code above the
-data layer must treat a store as immutable and derive new stores
-(``select``, ``with_subcat_ids``, ``time_shifted``, ...) instead of
-mutating one in place — in-place writes silently desynchronize the columns
-from the backend (and from any on-disk columnar manifest they were mapped
-from).
+returns a read-only NumPy view, and the column attributes cannot be
+rebound.  Code above the data layer must treat a store as immutable and
+derive new stores (``select``, ``with_subcat_ids``, ``time_shifted``, ...)
+instead of mutating one in place — in-place writes silently desynchronize
+the columns from the backend (and from any on-disk columnar manifest they
+were mapped from).
 
 Flagged, in library code under ``src/repro`` but outside ``repro.ras``:
 
