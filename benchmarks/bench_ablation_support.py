@@ -13,7 +13,7 @@ import time
 from benchmarks.conftest import report
 from repro.evaluation.crossval import cross_validate
 from repro.evaluation.spec import PredictorSpec
-from repro.mining.rules import generate_rules
+from repro.mining import generate_rules
 from repro.mining.transactions import build_event_sets
 from repro.util.timeutil import MINUTE
 

@@ -8,11 +8,12 @@ fit would be a correctness bug, not a win):
   training window slides across the bench stream in chunk-sized steps (the
   stream's event mix drifts as it goes, so every step adds and evicts real
   transactions), and each step fits the same rule spec twice: from scratch
-  (``spec.build().fit``) and through the maintained
-  :class:`~repro.evaluation.incremental.IncrementalFitter`.  Gates: every
-  step's learned state is byte-identical, and the **steady-state** median
-  speedup (excluding the first incremental fit, which builds the maintained
-  state from scratch) is at least :data:`MIN_SPEEDUP`.
+  (``spec.build().fit``, the mining engine filled from empty) and through
+  the maintained :class:`~repro.evaluation.incremental.IncrementalFitter`.
+  Gates: every step's learned state is byte-identical, and the
+  **steady-state** median speedup (excluding the first incremental fit,
+  which builds the maintained state from scratch) is at least
+  :data:`MIN_SPEEDUP`.
 - **spec.grid() fit reuse** — a ``prediction_window`` sweep runs twice,
   plain and incremental.  Every grid point shares one mining recipe, so the
   incremental run syncs one maintained miner across the whole grid x folds

@@ -19,8 +19,8 @@ import pytest
 from benchmarks.conftest import report
 from repro.evaluation.paper import RULE_GENERATION_SECONDS
 from repro.meta.stacked import MetaLearner
+from repro.mining import generate_rules
 from repro.mining.transactions import build_event_sets
-from repro.mining.rules import generate_rules
 from repro.predictors.rulebased import RuleBasedPredictor
 from repro.util.timeutil import MINUTE
 

@@ -33,7 +33,7 @@ def store_fingerprint(events: EventStore) -> str:
     Covers every column (with its dtype, so a re-typed column never
     collides) and every intern table (with separators, so table boundaries
     cannot alias).  Cost is one pass over the raw bytes — microseconds per
-    megabyte, negligible next to a single Apriori run.
+    megabyte, negligible next to a single mining run.
 
     The digest is backend-independent: columns are read through the
     schema-ordered accessors, so a memory-mapped columnar store and its

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -125,6 +126,58 @@ def _add_action_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_lifecycle_args(p: argparse.ArgumentParser) -> None:
+    """Model-source, pool and lifecycle flags shared by serve-replay and
+    serve-daemon (``--chunk`` and ``--jobs`` stay per command)."""
+    p.add_argument(
+        "--model", "-m", default=None,
+        help="model JSON to load (or use --registry)",
+    )
+    p.add_argument(
+        "--shards", type=int, default=4,
+        help="detector shards per pool (default 4)",
+    )
+    p.add_argument(
+        "--key", choices=["midplane", "job"], default="midplane",
+        help="shard partition key (default midplane)",
+    )
+    p.add_argument(
+        "--registry", default=None, metavar="DIR",
+        help="model registry directory; serves --model-ref instead of "
+             "--model and receives retrained snapshots",
+    )
+    p.add_argument(
+        "--model-ref", default="latest", metavar="REF",
+        help="registry ref to serve: tag, snapshot id, or id prefix "
+             "(default latest)",
+    )
+    p.add_argument(
+        "--retrain-every", type=int, default=None, metavar="N",
+        help="lifecycle mode: refit the served model every N events "
+             "(requires --registry)",
+    )
+    p.add_argument(
+        "--drift-threshold", type=float, default=None, metavar="PSI",
+        help="lifecycle mode: refit when the windowed subcategory PSI "
+             "reaches this level (requires --registry; see docs/lifecycle.md)",
+    )
+    p.add_argument(
+        "--drift-window", type=int, default=1024, metavar="N",
+        help="drift monitor's live window in events; the stream's first "
+             "window also seeds the reference histogram (default 1024)",
+    )
+    p.add_argument(
+        "--retrain-window", type=int, default=50_000, metavar="N",
+        help="sliding training window for refits, in events (default 50000)",
+    )
+    p.add_argument(
+        "--incremental", action="store_true", default=None,
+        help="lifecycle mode: maintain mining state across retrains so "
+             "sliding windows pay only the delta (bit-identical snapshots; "
+             "default: $REPRO_INCREMENTAL, else off)",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bgl-predict",
@@ -164,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--rule-window", type=float, default=15.0, help="minutes")
     m.add_argument("--min-support", type=float, default=0.04)
     m.add_argument("--min-confidence", type=float, default=0.2)
-    m.add_argument("--miner", choices=["apriori", "fpgrowth"], default="apriori")
     m.add_argument("--top", type=int, default=20, help="rules to print")
 
     e = sub.add_parser("evaluate", help="cross-validate a predictor")
@@ -214,57 +266,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replay a log through the sharded serving engine (throughput mode)",
     )
     _add_store_input_args(v)
-    v.add_argument(
-        "--model", "-m", default=None,
-        help="model JSON to load (or use --registry)",
-    )
-    v.add_argument(
-        "--shards", type=int, default=4,
-        help="detector shards in the pool (default 4)",
-    )
-    v.add_argument(
-        "--key", choices=["midplane", "job"], default="midplane",
-        help="stream partition key (default midplane)",
-    )
+    _add_lifecycle_args(v)
     v.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for shard replay "
              "(default: $REPRO_JOBS, else serial)",
-    )
-    v.add_argument(
-        "--incremental", action="store_true", default=None,
-        help="lifecycle mode: maintain mining state across retrains so "
-             "sliding windows pay only the delta (bit-identical snapshots; "
-             "default: $REPRO_INCREMENTAL, else off)",
-    )
-    v.add_argument(
-        "--registry", default=None, metavar="DIR",
-        help="model registry directory; serves --model-ref instead of "
-             "--model and receives retrained snapshots",
-    )
-    v.add_argument(
-        "--model-ref", default="latest", metavar="REF",
-        help="registry ref to serve: tag, snapshot id, or id prefix "
-             "(default latest)",
-    )
-    v.add_argument(
-        "--retrain-every", type=int, default=None, metavar="N",
-        help="lifecycle mode: refit the model every N events "
-             "(requires --registry)",
-    )
-    v.add_argument(
-        "--drift-threshold", type=float, default=None, metavar="PSI",
-        help="lifecycle mode: refit when the windowed subcategory PSI "
-             "reaches this level (requires --registry; see docs/lifecycle.md)",
-    )
-    v.add_argument(
-        "--drift-window", type=int, default=1024, metavar="N",
-        help="drift monitor's live window in events; the stream's first "
-             "window also seeds the reference histogram (default 1024)",
-    )
-    v.add_argument(
-        "--retrain-window", type=int, default=50_000, metavar="N",
-        help="sliding training window for refits, in events (default 50000)",
     )
     v.add_argument(
         "--chunk", type=int, default=2048, metavar="N",
@@ -279,10 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the live ingestion daemon (NDJSON line protocol + "
              "/metrics and /health)",
     )
-    d.add_argument(
-        "--model", "-m", default=None,
-        help="model JSON to load (or use --registry)",
-    )
+    _add_lifecycle_args(d)
     d.add_argument("--host", default="127.0.0.1", help="bind address")
     d.add_argument(
         "--port", type=int, default=0,
@@ -292,14 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--queue-bound", type=int, default=4096, metavar="N",
         help="per-stream ingest queue bound; a full queue answers BUSY "
              "(default 4096)",
-    )
-    d.add_argument(
-        "--shards", type=int, default=4,
-        help="detector shards per stream pool (default 4)",
-    )
-    d.add_argument(
-        "--key", choices=["midplane", "job"], default="midplane",
-        help="shard partition key (default midplane)",
     )
     d.add_argument(
         "--chunk", type=int, default=512, metavar="N",
@@ -317,43 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "loses no resolved warnings",
     )
     d.add_argument(
-        "--registry", default=None, metavar="DIR",
-        help="model registry directory; serves --model-ref instead of "
-             "--model and receives retrained snapshots",
-    )
-    d.add_argument(
-        "--model-ref", default="latest", metavar="REF",
-        help="registry ref to serve (default latest)",
-    )
-    d.add_argument(
-        "--retrain-every", type=int, default=None, metavar="N",
-        help="lifecycle mode: refit each stream's model every N events "
-             "(requires --registry)",
-    )
-    d.add_argument(
-        "--drift-threshold", type=float, default=None, metavar="PSI",
-        help="lifecycle mode: refit when the windowed subcategory PSI "
-             "reaches this level (requires --registry)",
-    )
-    d.add_argument(
-        "--drift-window", type=int, default=1024, metavar="N",
-        help="drift monitor window in events; each stream's first window "
-             "seeds its reference histogram (default 1024)",
-    )
-    d.add_argument(
-        "--retrain-window", type=int, default=50_000, metavar="N",
-        help="sliding training window for refits, in events (default 50000)",
-    )
-    d.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for lifecycle refits "
              "(default: $REPRO_JOBS, else serial)",
-    )
-    d.add_argument(
-        "--incremental", action="store_true", default=None,
-        help="maintain mining state across lifecycle retrains so sliding "
-             "windows pay only the delta (bit-identical snapshots; "
-             "default: $REPRO_INCREMENTAL, else off)",
     )
     d.add_argument(
         "--store", metavar="DIR", default=None,
@@ -620,7 +581,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
         rule_window=args.rule_window * MINUTE,
         min_support=args.min_support,
         min_confidence=args.min_confidence,
-        miner=args.miner,
     ).fit(result.events)
     assert predictor.ruleset is not None
     print(
@@ -833,32 +793,10 @@ def _print_ledger(ledger, indent: str = "") -> None:
 
 
 def cmd_serve_replay(args: argparse.Namespace) -> int:
-    from repro.lifecycle import ModelRegistry, RegistryError
     from repro.serve import DetectorPool
 
-    lifecycle_mode = (
-        args.retrain_every is not None or args.drift_threshold is not None
-    )
-    if args.model is None and args.registry is None:
-        return _fail("provide a model: --model FILE or --registry DIR")
-    if lifecycle_mode and args.registry is None:
-        return _fail(
-            "--retrain-every/--drift-threshold need --registry "
-            "(retrained snapshots must be registered somewhere)"
-        )
-
-    model_registry = None
-    snapshot = None
-    try:
-        if args.registry is not None:
-            model_registry = ModelRegistry(args.registry)
-            snapshot = model_registry.get(args.model_ref)
-            meta = model_registry.load_meta(args.model_ref)
-        else:
-            model = load_model(args.model)
-            meta = model.meta if isinstance(model, ThreePhasePredictor) else model
-    except (RegistryError, FileNotFoundError) as exc:
-        return _fail(str(exc))
+    lifecycle_mode = _lifecycle_mode(args)
+    meta, model_registry, snapshot = _served_model(args)
 
     raw, result = _load_events(args)
     if len(result.events) == 0:
@@ -927,39 +865,12 @@ def _serve_lifecycle(
     args, pool, model_registry, snapshot, events, action_engine=None
 ) -> int:
     """serve-replay's managed mode: drift-monitored, hot-swap retraining."""
-    from repro.lifecycle import (
-        DriftMonitor,
-        LifecycleManager,
-        Retrainer,
-        RetrainPolicy,
-    )
-
     # The stream's own head seeds the reference histogram: the monitor
     # compares "recently" against "when serving started", which is what an
     # operator without the original training store can actually deploy.
     head = min(max(args.drift_window, 1), len(events))
-    monitor = DriftMonitor(
-        events.select(slice(0, head)),
-        window=args.drift_window,
-        threshold=args.drift_threshold if args.drift_threshold else 0.25,
-    )
-    policy = RetrainPolicy(
-        args.retrain_every,
-        on_drift=args.drift_threshold is not None,
-        cooldown_events=max(args.chunk, 1024),
-    )
-    spec = snapshot.spec if snapshot.spec is not None else PredictorSpec.meta()
-    retrainer = Retrainer(
-        spec,
-        model_registry,
-        window_events=args.retrain_window,
-        jobs=args.jobs,
-        seed=0,
-        incremental=args.incremental,
-    )
-    manager = LifecycleManager(
-        pool, monitor, policy, retrainer,
-        serving_snapshot=snapshot.snapshot_id,
+    manager = _lifecycle_manager(
+        args, model_registry, snapshot, pool, events.select(slice(0, head))
     )
     report = manager.run(
         events, chunk_events=args.chunk, action_sink=action_engine
@@ -990,13 +901,45 @@ def _serve_lifecycle(
     return 0
 
 
-def _daemon_manager_factory(args, model_registry, snapshot):
-    """Per-stream lifecycle factory the daemon hands to new channels.
+def _lifecycle_mode(args) -> bool:
+    return args.retrain_every is not None or args.drift_threshold is not None
 
+
+def _served_model(args):
+    """The model serve-replay and serve-daemon start from.
+
+    Returns ``(meta, model_registry, snapshot)``; the last two are ``None``
+    when the model comes from ``--model FILE``.
+    """
+    from repro.lifecycle import ModelRegistry, RegistryError
+
+    if args.model is None and args.registry is None:
+        raise _CliError("provide a model: --model FILE or --registry DIR")
+    if _lifecycle_mode(args) and args.registry is None:
+        raise _CliError(
+            "--retrain-every/--drift-threshold need --registry "
+            "(retrained snapshots must be registered somewhere)"
+        )
+    try:
+        if args.registry is None:
+            model = load_model(args.model)
+            meta = model.meta if isinstance(model, ThreePhasePredictor) else model
+            return meta, None, None
+        model_registry = ModelRegistry(args.registry)
+        snapshot = model_registry.get(args.model_ref)
+        return model_registry.load_meta(args.model_ref), model_registry, snapshot
+    except (RegistryError, FileNotFoundError) as exc:
+        raise _CliError(str(exc)) from exc
+
+
+def _lifecycle_manager(args, model_registry, snapshot, pool, reference_store):
+    """A :class:`LifecycleManager` built from the shared lifecycle flags.
+
+    serve-replay builds one for its pool; serve-daemon binds the first three
+    arguments and hands the rest to each new stream as its manager factory.
     Built here — not in :mod:`repro.serve` — so the serve package never
     imports lifecycle (the layer DAG stays acyclic; lifecycle already
-    imports ``serve.pool``).  Each stream gets its own monitor/policy/
-    retrainer; the reference store is the stream's first drift window.
+    imports ``serve.pool``).
     """
     from repro.lifecycle import (
         DriftMonitor,
@@ -1005,33 +948,29 @@ def _daemon_manager_factory(args, model_registry, snapshot):
         RetrainPolicy,
     )
 
+    monitor = DriftMonitor(
+        reference_store,
+        window=args.drift_window,
+        threshold=args.drift_threshold if args.drift_threshold else 0.25,
+    )
+    policy = RetrainPolicy(
+        args.retrain_every,
+        on_drift=args.drift_threshold is not None,
+        cooldown_events=max(args.chunk, 1024),
+    )
     spec = snapshot.spec if snapshot.spec is not None else PredictorSpec.meta()
-
-    def factory(pool, reference_store):
-        monitor = DriftMonitor(
-            reference_store,
-            window=args.drift_window,
-            threshold=args.drift_threshold if args.drift_threshold else 0.25,
-        )
-        policy = RetrainPolicy(
-            args.retrain_every,
-            on_drift=args.drift_threshold is not None,
-            cooldown_events=max(args.chunk, 1024),
-        )
-        retrainer = Retrainer(
-            spec,
-            model_registry,
-            window_events=args.retrain_window,
-            jobs=args.jobs,
-            seed=0,
-            incremental=args.incremental,
-        )
-        return LifecycleManager(
-            pool, monitor, policy, retrainer,
-            serving_snapshot=snapshot.snapshot_id,
-        )
-
-    return factory
+    retrainer = Retrainer(
+        spec,
+        model_registry,
+        window_events=args.retrain_window,
+        jobs=args.jobs,
+        seed=0,
+        incremental=args.incremental,
+    )
+    return LifecycleManager(
+        pool, monitor, policy, retrainer,
+        serving_snapshot=snapshot.snapshot_id,
+    )
 
 
 def _daemon_action_factory(args, ledger_docs):
@@ -1072,7 +1011,6 @@ def cmd_serve_daemon(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.lifecycle import ModelRegistry, RegistryError
     from repro.online.resolution import SessionStats
     from repro.serve.daemon import (
         DaemonConfig,
@@ -1081,29 +1019,8 @@ def cmd_serve_daemon(args: argparse.Namespace) -> int:
         state_to_dict,
     )
 
-    lifecycle_mode = (
-        args.retrain_every is not None or args.drift_threshold is not None
-    )
-    if args.model is None and args.registry is None:
-        return _fail("provide a model: --model FILE or --registry DIR")
-    if lifecycle_mode and args.registry is None:
-        return _fail(
-            "--retrain-every/--drift-threshold need --registry "
-            "(retrained snapshots must be registered somewhere)"
-        )
-
-    model_registry = None
-    snapshot = None
-    try:
-        if args.registry is not None:
-            model_registry = ModelRegistry(args.registry)
-            snapshot = model_registry.get(args.model_ref)
-            meta = model_registry.load_meta(args.model_ref)
-        else:
-            model = load_model(args.model)
-            meta = model.meta if isinstance(model, ThreePhasePredictor) else model
-    except (RegistryError, FileNotFoundError) as exc:
-        return _fail(str(exc))
+    lifecycle_mode = _lifecycle_mode(args)
+    meta, model_registry, snapshot = _served_model(args)
 
     baseline: Optional[SessionStats] = None
     ledger_docs: dict = {}
@@ -1127,7 +1044,11 @@ def cmd_serve_daemon(args: argparse.Namespace) -> int:
     manager_factory = None
     reference_events = 0
     if lifecycle_mode:
-        manager_factory = _daemon_manager_factory(args, model_registry, snapshot)
+        # Each stream gets its own monitor, policy and retrainer; the
+        # reference store is the stream's first drift window.
+        manager_factory = functools.partial(
+            _lifecycle_manager, args, model_registry, snapshot
+        )
         reference_events = args.drift_window
     action_factory = None
     if args.policy is not None:

@@ -26,7 +26,6 @@ class PredictorConfig:
     min_support: float = 0.04
     min_confidence: float = 0.2
     max_rule_len: int = 6
-    miner: str = "apriori"
 
     # Phase 2 — statistical
     statistical_lead: float = 5 * MINUTE

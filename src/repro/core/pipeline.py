@@ -67,7 +67,6 @@ class ThreePhasePredictor(Predictor):
             min_support=cfg.min_support,
             min_confidence=cfg.min_confidence,
             max_len=cfg.max_rule_len,
-            miner=cfg.miner,
         )
         self.meta = MetaLearner(
             prediction_window=cfg.prediction_window,

@@ -160,7 +160,6 @@ def rulebased_to_dict(rb: RuleBasedPredictor) -> dict:
         "min_support": rb.min_support,
         "min_confidence": rb.min_confidence,
         "max_len": rb.max_len,
-        "miner": rb.miner,
         **_rulebased_state_to_dict(rb),
     }
 
@@ -189,7 +188,11 @@ def _rulebased_apply_state(
 
 
 def rulebased_from_dict(doc: dict) -> RuleBasedPredictor:
-    """Decode into a *fitted* rule-based predictor."""
+    """Decode into a *fitted* rule-based predictor.
+
+    Older documents also carry a ``"miner"`` choice; every miner mined the
+    same rules, so the key is ignored.
+    """
     try:
         rb = RuleBasedPredictor(
             rule_window=float(doc["rule_window"]),
@@ -197,7 +200,6 @@ def rulebased_from_dict(doc: dict) -> RuleBasedPredictor:
             min_support=float(doc["min_support"]),
             min_confidence=float(doc["min_confidence"]),
             max_len=int(doc["max_len"]),
-            miner=str(doc["miner"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed rulebased document: {exc}") from exc
@@ -351,7 +353,7 @@ def _three_phase_encode(predictor: ThreePhasePredictor) -> dict:
             for k in (
                 "compression_threshold", "temporal_key_mode",
                 "rule_window", "min_support", "min_confidence",
-                "max_rule_len", "miner", "statistical_lead",
+                "max_rule_len", "statistical_lead",
                 "statistical_window", "trigger_threshold",
                 "prediction_window",
             )
@@ -362,9 +364,12 @@ def _three_phase_encode(predictor: ThreePhasePredictor) -> dict:
 
 def _three_phase_decode(doc: dict) -> ThreePhasePredictor:
     try:
-        config = PredictorConfig(**doc["config"])
+        # Older documents carry the retired "miner" choice; ignore it.
+        config = PredictorConfig(**{
+            k: v for k, v in doc["config"].items() if k != "miner"
+        })
         meta = meta_from_dict(doc["meta"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SerializationError):
             raise
         raise SerializationError(

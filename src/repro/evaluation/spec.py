@@ -204,7 +204,10 @@ class PredictorSpec:
 
         The round-trip partner the lifecycle model registry uses: a snapshot
         manifest carries ``{"kind": ..., "params": {...}}`` and this restores
-        a spec with the identical ``token()``/``fit_token()``.
+        a spec with the identical ``token()``/``fit_token()``.  Manifests
+        written before the miner choice was retired carry a ``"miner"``
+        parameter; it is dropped here (every miner mined the same rules),
+        while :meth:`of` keeps rejecting unknown parameters.
         """
         try:
             kind = doc["kind"]
@@ -213,6 +216,7 @@ class PredictorSpec:
             raise SpecError(f"malformed spec document: {exc}") from exc
         if not isinstance(params, dict):
             raise SpecError("spec document 'params' is not an object")
+        params = {k: v for k, v in params.items() if k != "miner"}
         return cls.of(str(kind), **params)
 
     def as_manifest(self) -> dict:
@@ -328,7 +332,6 @@ def _build_rule(
     min_support: float = 0.04,
     min_confidence: float = 0.2,
     max_len: int = 6,
-    miner: str = "apriori",
 ) -> RuleBasedPredictor:
     return RuleBasedPredictor(
         rule_window=rule_window,
@@ -336,7 +339,6 @@ def _build_rule(
         min_support=min_support,
         min_confidence=min_confidence,
         max_len=max_len,
-        miner=miner,
     )
 
 
@@ -346,7 +348,6 @@ def _build_meta(
     min_support: float = 0.04,
     min_confidence: float = 0.2,
     max_len: int = 6,
-    miner: str = "apriori",
     statistical_window: float = HOUR,
     statistical_lead: float = 5 * MINUTE,
     trigger_threshold: float = 0.25,
@@ -364,7 +365,6 @@ def _build_meta(
             min_support=min_support,
             min_confidence=min_confidence,
             max_len=max_len,
-            miner=miner,
         ),
     )
 
@@ -376,7 +376,6 @@ def _build_three_phase(
     min_support: float = 0.04,
     min_confidence: float = 0.2,
     max_rule_len: int = 6,
-    miner: str = "apriori",
     statistical_lead: float = 5 * MINUTE,
     statistical_window: float = HOUR,
     trigger_threshold: float = 0.25,
@@ -389,7 +388,6 @@ def _build_three_phase(
         min_support=min_support,
         min_confidence=min_confidence,
         max_rule_len=max_rule_len,
-        miner=miner,
         statistical_lead=statistical_lead,
         statistical_window=statistical_window,
         trigger_threshold=trigger_threshold,
@@ -414,15 +412,13 @@ register_spec_kind(
     # Mining sees rule_window + thresholds; prediction_window only drives
     # the test-time sliding window, so cached rule sets are shared across
     # the paper's Figure-4 sweep.
-    fit_params=(
-        "rule_window", "min_support", "min_confidence", "max_len", "miner",
-    ),
+    fit_params=("rule_window", "min_support", "min_confidence", "max_len"),
 )
 register_spec_kind(
     "meta",
     _build_meta,
     fit_params=(
-        "rule_window", "min_support", "min_confidence", "max_len", "miner",
+        "rule_window", "min_support", "min_confidence", "max_len",
         "statistical_window", "statistical_lead", "trigger_threshold",
     ),
 )
@@ -432,8 +428,7 @@ register_spec_kind(
     fit_params=(
         "compression_threshold", "temporal_key_mode",
         "rule_window", "min_support", "min_confidence", "max_rule_len",
-        "miner", "statistical_lead", "statistical_window",
-        "trigger_threshold",
+        "statistical_lead", "statistical_window", "trigger_threshold",
     ),
 )
 register_spec_kind(

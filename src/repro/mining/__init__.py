@@ -5,28 +5,29 @@ Implemented from scratch (no external ML dependency):
 - :mod:`repro.mining.transactions` — building *event-sets* (the paper's
   transactions): for each fatal event, the set of non-fatal subcategories
   observed in the rule-generation window before it.
-- :mod:`repro.mining.apriori` — the classic Agrawal-Srikant frequent-itemset
-  algorithm the paper cites.
-- :mod:`repro.mining.fptree` — FP-growth (Han et al., the paper's [15]),
-  mining the identical itemsets without candidate generation; used for the
-  miner-cost ablation and cross-checked against Apriori by property tests.
+- :mod:`repro.mining.incremental` — the mining engine: a canonical-order
+  prefix tree with per-suffix FP-growth mining.  A one-shot fit
+  (:func:`generate_rules`) fills it from empty; sliding-window retrains add
+  and evict transaction windows and re-mine only the suffix partitions
+  whose counts changed, with bit-identical rule sets.
+- :mod:`repro.mining.fptree` — FP-growth's conditional-tree primitives
+  (Han et al., the paper's [15]), which the engine mines through.
 - :mod:`repro.mining.rules` — rule generation (body of non-fatal items, head
   of fatal items), the paper's per-body rule *combination*, confidence
   sorting, and the matcher used at prediction time.
-- :mod:`repro.mining.incremental` — maintained mining state for O(delta)
-  sliding-window retrains: add/evict transaction windows, re-mine only the
-  suffix partitions whose counts changed, bit-identical rule sets.
+
+The paper's cited Apriori (Agrawal & Srikant) is kept as the test oracle
+the engine is checked against, in ``tests/oracles.py``.
 """
 
-from repro.mining.apriori import apriori
 from repro.mining.counts import min_count_for
-from repro.mining.fptree import fpgrowth
 from repro.mining.incremental import (
     CanonicalTree,
     IncrementalMiner,
     IncrementalRuleMiner,
+    generate_rules,
 )
-from repro.mining.rules import Rule, RuleSet, generate_rules, rules_from_itemsets
+from repro.mining.rules import Rule, RuleSet, rules_from_itemsets
 from repro.mining.transactions import (
     EventSetDB,
     build_event_sets,
@@ -34,8 +35,6 @@ from repro.mining.transactions import (
 )
 
 __all__ = [
-    "apriori",
-    "fpgrowth",
     "min_count_for",
     "CanonicalTree",
     "IncrementalMiner",

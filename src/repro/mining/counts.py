@@ -1,8 +1,7 @@
 """Shared count-maintenance primitives for the mining layer.
 
-Every miner — level-wise Apriori, FP-growth, and the incremental engine —
-must agree *exactly* on what "frequent" means, or their outputs stop being
-interchangeable.  The absolute-count threshold therefore lives here, spelled
+The mining engine and the Apriori test oracle must agree *exactly* on what
+"frequent" means, or the oracle stops being a check.  The absolute-count threshold therefore lives here, spelled
 once: :func:`min_count_for` is the single source of the ``ceil(support * n)``
 conversion (with the "support == threshold passes" convention the paper's
 0.04 cutoff implies).
@@ -22,5 +21,5 @@ def min_count_for(min_support: float, n_transactions: int) -> int:
     """
     check_fraction(min_support, "min_support")
     # ceil via negated floor division; bit-identical to the historical
-    # expression both miners used inline.
+    # expression the miners used inline.
     return max(1, int(-(-min_support * n_transactions // 1)))

@@ -1,12 +1,14 @@
-"""Incremental frequent-itemset and rule mining: O(delta) window retrains.
+"""The mining engine: one-shot fits and O(delta) sliding-window retrains.
 
-Lifecycle retrains slide a transaction window forward: each retrain adds the
-new chunk's transactions and evicts the expired ones, while the bulk of the
-window is unchanged.  From-scratch Apriori/FP-growth re-pays the full mining
-cost for that unchanged bulk on every retrain; this module maintains the
-mining state across retrains and re-pays only for what changed — the
-CanTree/LogMaster idea (PAPERS.md) of keeping event-correlation state alive
-as logs arrive.
+This is the only mining engine.  A one-shot fit (:func:`generate_rules`)
+fills an empty :class:`IncrementalRuleMiner` and reads its rules, so every
+fit in the system mines through one code path.  Lifecycle retrains slide a
+transaction window forward: each retrain adds the new chunk's transactions
+and evicts the expired ones, while the bulk of the window is unchanged.  The
+maintained miner keeps the mining state across retrains and re-pays only for
+what changed — the CanTree/LogMaster idea (PAPERS.md) of keeping
+event-correlation state alive as logs arrive.  The paper's cited Apriori
+lives in ``tests/oracles.py`` as the independent check on this engine.
 
 Structure
 ---------
@@ -19,9 +21,8 @@ Structure
 :class:`IncrementalMiner`
     The itemset-count half: a transaction multiset + canonical tree +
     per-suffix mined-itemset cache with dirty-item tracking.  ``itemsets()``
-    re-mines only suffix items whose supporting transactions changed, using
-    the *same* conditional-tree primitives as :func:`repro.mining.fptree.
-    fpgrowth` — counts are identical by construction, not by luck.
+    re-mines only suffix items whose supporting transactions changed, through
+    FP-growth's conditional-tree primitives (:mod:`repro.mining.fptree`).
 :class:`IncrementalRuleMiner`
     The rule half: syncs against an :class:`EventSetDB` by multiset diff,
     feeds the maintained itemset table through
@@ -162,9 +163,9 @@ class IncrementalMiner:
 
     ``add(transactions)`` / ``evict(transactions)`` update the canonical
     tree, item counts, and the dirty-item set in O(size of the delta);
-    ``itemsets(min_support, max_len)`` then returns the exact
-    :func:`~repro.mining.fptree.fpgrowth` result for the current multiset,
-    re-mining only the suffix partitions whose counts could have changed.
+    ``itemsets(min_support, max_len)`` then returns the exact frequent
+    itemsets of the current multiset, re-mining only the suffix partitions
+    whose counts could have changed.
     """
 
     def __init__(self) -> None:
@@ -186,22 +187,20 @@ class IncrementalMiner:
     def n_transactions(self) -> int:
         return self._n
 
-    def transaction_counts(self) -> Mapping[frozenset[int], int]:
+    def transaction_counts(self) -> Counter[frozenset[int]]:
         """The current multiset (live view; do not mutate)."""
         return self._trans
 
     def add(self, transactions: Iterable[frozenset[int]]) -> int:
         """Add a window of transactions; returns the number added."""
-        return self._apply(transactions, +1)
+        return self._apply(Counter(map(frozenset, transactions)), +1)
 
     def evict(self, transactions: Iterable[frozenset[int]]) -> int:
         """Evict previously-added transactions; returns the number evicted."""
-        return self._apply(transactions, -1)
+        return self._apply(Counter(map(frozenset, transactions)), -1)
 
-    def _apply(self, transactions: Iterable[frozenset[int]], sign: int) -> int:
-        delta: Counter[frozenset[int]] = Counter()
-        for t in transactions:
-            delta[frozenset(t)] += 1
+    def _apply(self, delta: Mapping[frozenset[int], int], sign: int) -> int:
+        """Apply ``delta`` (transaction -> multiplicity) with ``sign``."""
         n_delta = sum(delta.values())
         if not n_delta:
             return 0
@@ -220,12 +219,8 @@ class IncrementalMiner:
                 self._tree.add(items, w)
                 self._trans[t] += w
             else:
-                have = self._trans.get(t, 0)
-                if have < w:
-                    raise ValueError(
-                        f"evicting {w} x {items} but only {have} present"
-                    )
                 self._tree.remove(items, w)
+                have = self._trans[t]
                 if have == w:
                     del self._trans[t]
                 else:
@@ -234,7 +229,7 @@ class IncrementalMiner:
                 self._item_counts[item] += sign * w
                 if self._item_counts[item] == 0:
                     del self._item_counts[item]
-                self._dirty.add(item)
+            self._dirty.update(t)
         self._n += sign * n_delta
         self.version += 1
         get_registry().counter(
@@ -249,11 +244,11 @@ class IncrementalMiner:
     def itemsets(
         self, min_support: float, max_len: int = 6
     ) -> dict[frozenset[int], int]:
-        """Frequent itemsets of the current multiset — exact fpgrowth output.
+        """Frequent itemsets of the current multiset with their exact counts.
 
         Suffix partitions untouched by the delta (and mined at a threshold
         no higher than now needed) are reused from cache; the rest are
-        re-mined from the canonical tree via the shared FP-growth
+        re-mined from the canonical tree via FP-growth's conditional-tree
         primitives.
         """
         check_fraction(min_support, "min_support")
@@ -325,8 +320,8 @@ class IncrementalRuleMiner:
 
     ``sync(db)`` diffs the database's transaction multiset against the
     maintained one and applies only the delta; ``rules()`` then produces a
-    :class:`RuleSet` bit-identical to ``generate_rules(db, ...)`` with the
-    same parameters.  Body-count scans for Step-3 combined confidence are
+    :class:`RuleSet` bit-identical to a one-shot ``generate_rules(db, ...)``
+    with the same parameters.  Body-count scans for Step-3 combined confidence are
     memoized and invalidated per dirty item.
     """
 
@@ -370,25 +365,24 @@ class IncrementalRuleMiner:
         """
         if not self._names_compatible(db.item_names):
             self.reset()
+        if (
+            len(db.item_names) != len(self.item_names)
+            or db.fatal_items != self.fatal_items
+        ):
+            # The rule set carries the label table: a grown table or new
+            # fatal set changes it even when no transaction does.
+            self._ruleset = None
         self.item_names = list(db.item_names)
         self.fatal_items = db.fatal_items
         target: Counter[frozenset[int]] = Counter(db.transactions())
         current = self.miner.transaction_counts()
-        to_add: list[frozenset[int]] = []
-        to_evict: list[frozenset[int]] = []
-        for t in set(target) | set(current):
-            diff = target.get(t, 0) - current.get(t, 0)
-            if diff > 0:
-                to_add.extend([t] * diff)
-            elif diff < 0:
-                to_evict.extend([t] * -diff)
-        if to_evict:
-            self._touch(to_evict)
-            self.miner.evict(to_evict)
-        if to_add:
-            self._touch(to_add)
-            self.miner.add(to_add)
-        return len(to_add), len(to_evict)
+        # Counter subtraction keeps positive differences only.
+        to_evict = current - target
+        to_add = target - current
+        self._touch(to_evict)
+        self._touch(to_add)
+        n_evicted = self.miner._apply(to_evict, -1)
+        return self.miner._apply(to_add, +1), n_evicted
 
     def add_window(self, transactions: Iterable[frozenset[int]]) -> int:
         """Add transactions directly (callers managing their own windows)."""
@@ -422,9 +416,9 @@ class IncrementalRuleMiner:
     # -- rule generation ---------------------------------------------------
 
     def rules(self) -> RuleSet:
-        """The rule set of the current window — bit-identical to
+        """The rule set of the current window — bit-identical to a one-shot
         ``generate_rules`` with this miner's parameters on the same
-        transactions."""
+        database."""
         if (
             self._ruleset is not None
             and self._ruleset_version == self.miner.version
@@ -440,6 +434,7 @@ class IncrementalRuleMiner:
             }
             self._rule_dirty = set()
         freq = self.miner.itemsets(self.min_support, self.max_len)
+        get_registry().counter("mining.itemsets_frequent", len(freq))
         ruleset = rules_from_itemsets(
             freq,
             self.miner.n_transactions,
@@ -517,3 +512,38 @@ class IncrementalRuleMiner:
         ]
         self.add_window(batch)
         return self
+
+
+def generate_rules(
+    db: EventSetDB,
+    min_support: float = 0.04,
+    min_confidence: float = 0.2,
+    max_len: int = 6,
+    combine: bool = True,
+    prune_generalizations: bool = True,
+) -> RuleSet:
+    """Mine, filter, combine and sort rules from an event-set database.
+
+    Implements Steps 2-4 of the paper's rule-based method.  ``min_support``
+    and ``min_confidence`` default to the paper's values.  The one-shot
+    fit: an :class:`IncrementalRuleMiner` filled from empty.
+
+    ``prune_generalizations`` drops a rule whose body is a proper subset of
+    another rule's body when the more specific rule shares a head and has at
+    least the same confidence: the general rule then adds no predictive
+    value (every time its stronger specialization matches, the matcher
+    prefers that anyway — paper Step 6 picks the highest confidence) while
+    firing spuriously whenever the partial body occurs alone.
+    """
+    check_fraction(min_support, "min_support")
+    check_fraction(min_confidence, "min_confidence")
+    miner = IncrementalRuleMiner(
+        min_support=min_support,
+        min_confidence=min_confidence,
+        max_len=max_len,
+        combine=combine,
+        prune_generalizations=prune_generalizations,
+    )
+    with get_registry().span("phase2.mine"):
+        miner.sync(db)
+        return miner.rules()

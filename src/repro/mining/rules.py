@@ -33,22 +33,13 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.mining.apriori import apriori
-from repro.mining.fptree import fpgrowth
-from repro.mining.transactions import EventSetDB
 from repro.obs import get_registry
 from repro.ras.store import UNCLASSIFIED, EventStore
 from repro.util.validation import check_fraction
 
-#: Miner registry: both produce identical itemset->count tables.
-MINERS: dict[str, Callable[..., dict[frozenset[int], int]]] = {
-    "apriori": apriori,
-    "fpgrowth": fpgrowth,
-}
-
 #: Counts a rule body against the database: (body_count, hit_count) where
 #: hit_count is the number of body-containing transactions that also contain
-#: at least one head.  Pluggable so the incremental engine can memoize.
+#: at least one head.  The mining engine passes a memoizing counter.
 BodyCounter = Callable[[frozenset[int], frozenset[int]], tuple[int, int]]
 
 
@@ -75,62 +66,6 @@ class Rule:
         body = " ".join(sorted(item_names[i] for i in self.body))
         heads = " ".join(sorted(item_names[i] for i in self.heads))
         return f"{body} ==> {heads}: {self.confidence:g}"
-
-
-def generate_rules(
-    db: EventSetDB,
-    min_support: float = 0.04,
-    min_confidence: float = 0.2,
-    max_len: int = 6,
-    miner: str = "apriori",
-    combine: bool = True,
-    prune_generalizations: bool = True,
-) -> "RuleSet":
-    """Mine, filter, combine and sort rules from an event-set database.
-
-    Implements Steps 2-4 of the paper's rule-based method.  ``min_support``
-    and ``min_confidence`` default to the paper's values.
-
-    ``prune_generalizations`` drops a rule whose body is a proper subset of
-    another rule's body when the more specific rule shares a head and has at
-    least the same confidence: the general rule then adds no predictive
-    value (every time its stronger specialization matches, the matcher
-    prefers that anyway — paper Step 6 picks the highest confidence) while
-    firing spuriously whenever the partial body occurs alone.
-    """
-    if miner not in MINERS:
-        raise ValueError(f"unknown miner {miner!r}; choose from {sorted(MINERS)}")
-    check_fraction(min_support, "min_support")
-    check_fraction(min_confidence, "min_confidence")
-    obs = get_registry()
-    transactions = db.transactions()
-    n = len(transactions)
-    if n == 0:
-        return RuleSet([], db.item_names, db.fatal_items)
-    with obs.span("phase2.mine", miner=miner):
-        freq = MINERS[miner](transactions, min_support, max_len=max_len)
-    obs.counter("mining.itemsets_frequent", len(freq))
-
-    def scan_body(body: frozenset[int], heads: frozenset[int]) -> tuple[int, int]:
-        body_count = 0
-        hit_count = 0
-        for t in transactions:
-            if body <= t:
-                body_count += 1
-                if t & heads:
-                    hit_count += 1
-        return body_count, hit_count
-
-    return rules_from_itemsets(
-        freq,
-        n,
-        item_names=db.item_names,
-        fatal_items=db.fatal_items,
-        min_confidence=min_confidence,
-        combine=combine,
-        prune_generalizations=prune_generalizations,
-        body_counter=scan_body,
-    )
 
 
 def _rule_sort_key(r: Rule) -> tuple:
@@ -161,11 +96,11 @@ def rules_from_itemsets(
 ) -> "RuleSet":
     """Steps 2-4 from an already-mined itemset->count table.
 
-    The count-maintenance half of rule generation, split out so the
-    incremental engine (:mod:`repro.mining.incremental`) can feed it a
-    maintained itemset table and a memoizing ``body_counter`` while
-    :func:`generate_rules` feeds it a fresh mine and a full-scan counter —
-    both paths produce bit-identical :class:`RuleSet` contents.
+    The rule half of mining: the engine
+    (:mod:`repro.mining.incremental`, whose ``generate_rules`` is the
+    one-shot entry point) feeds it a maintained itemset table and a
+    memoizing ``body_counter``.  The result depends only on the itemset
+    table and the counts, never on dict order (see :func:`_rule_sort_key`).
     """
     check_fraction(min_confidence, "min_confidence")
     obs = get_registry()
@@ -184,7 +119,7 @@ def rules_from_itemsets(
             continue
         body_count = freq.get(body)
         if not body_count:
-            continue  # body itself below support (cannot happen w/ apriori)
+            continue  # body below support (cannot happen: itemsets are downward closed)
         conf = count / body_count
         if conf < min_confidence:
             continue

@@ -18,13 +18,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.mining.rules import (
-    Rule,
-    RuleMatcher,
-    RuleSet,
-    generate_rules,
-    item_ids_for,
-)
+from repro.mining.incremental import generate_rules
+from repro.mining.rules import Rule, RuleMatcher, RuleSet, item_ids_for
 from repro.mining.transactions import build_event_sets
 from repro.obs import get_registry
 from repro.predictors.base import FailureWarning, Predictor
@@ -46,8 +41,6 @@ class RuleBasedPredictor(Predictor):
         paper's Figure 4).
     min_support / min_confidence:
         Mining thresholds; paper defaults 0.04 / 0.2.
-    miner:
-        ``"apriori"`` or ``"fpgrowth"`` (identical output, different cost).
     """
 
     name = "rule"
@@ -59,7 +52,6 @@ class RuleBasedPredictor(Predictor):
         min_support: float = 0.04,
         min_confidence: float = 0.2,
         max_len: int = 6,
-        miner: str = "apriori",
     ) -> None:
         super().__init__()
         check_positive(rule_window, "rule_window")
@@ -69,7 +61,6 @@ class RuleBasedPredictor(Predictor):
         self.min_support = check_fraction(min_support, "min_support")
         self.min_confidence = check_fraction(min_confidence, "min_confidence")
         self.max_len = max_len
-        self.miner = miner
         self.ruleset: Optional[RuleSet] = None
         #: Fraction of training failures with no precursor (recall ceiling).
         self.no_precursor_fraction: float = 0.0
@@ -83,7 +74,6 @@ class RuleBasedPredictor(Predictor):
         min_support: float,
         min_confidence: float,
         max_len: int,
-        miner: str,
         ruleset: RuleSet,
         no_precursor_fraction: float,
     ) -> "RuleBasedPredictor":
@@ -99,7 +89,6 @@ class RuleBasedPredictor(Predictor):
             min_support=check_fraction(min_support, "min_support"),
             min_confidence=check_fraction(min_confidence, "min_confidence"),
             max_len=max_len,
-            miner=miner,
         )
         return rb.restore_state(ruleset, no_precursor_fraction)
 
@@ -123,7 +112,6 @@ class RuleBasedPredictor(Predictor):
                 min_support=self.min_support,
                 min_confidence=self.min_confidence,
                 max_len=self.max_len,
-                miner=self.miner,
             )
         obs.counter("predictor.rules_mined", len(self.ruleset))
         obs.gauge(

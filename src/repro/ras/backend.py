@@ -33,7 +33,7 @@ import os
 import shutil
 import tempfile
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -221,13 +221,3 @@ def spill_dir() -> str:
         _SPILL_ROOT = tempfile.mkdtemp(prefix="repro-store-spill-")
         atexit.register(shutil.rmtree, _SPILL_ROOT, ignore_errors=True)
     return tempfile.mkdtemp(prefix="store-", dir=_SPILL_ROOT)
-
-
-def iter_column_chunks(
-    arr: np.ndarray, chunk_rows: int
-) -> Iterator[np.ndarray]:
-    """Yield contiguous read-only slices of ``arr`` of at most ``chunk_rows``."""
-    if chunk_rows <= 0:
-        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-    for lo in range(0, len(arr), chunk_rows):
-        yield arr[lo : lo + chunk_rows]

@@ -4,7 +4,7 @@ These helpers are deliberately dependency-light (NumPy only) and are used by
 every other subpackage.  Nothing in here is specific to Blue Gene/L.
 """
 
-from repro.util.rng import RngMixin, as_generator, spawn_child
+from repro.util.rng import as_generator, spawn_child
 from repro.util.timeutil import (
     MINUTE,
     HOUR,
@@ -24,7 +24,6 @@ from repro.util.validation import (
 from repro.util.windows import (
     count_in_windows,
     events_in_window,
-    sliding_window_indices,
     window_slice,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "MINUTE",
     "HOUR",
     "DAY",
-    "RngMixin",
     "as_generator",
     "spawn_child",
     "format_epoch",
@@ -46,6 +44,5 @@ __all__ = [
     "check_sorted",
     "count_in_windows",
     "events_in_window",
-    "sliding_window_indices",
     "window_slice",
 ]

@@ -10,7 +10,7 @@ changing one subsystem's draw count then cannot perturb another's sequence.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -45,22 +45,3 @@ def spawn_child(rng: np.random.Generator, *, streams: int = 1) -> list[np.random
             f"{type(rng.bit_generator).__name__} does not"
         )
     return [np.random.default_rng(s) for s in seed_seq.spawn(streams)]
-
-
-class RngMixin:
-    """Mixin giving a class a lazily created, seedable ``self.rng``."""
-
-    def __init__(self, seed: SeedLike = None) -> None:
-        self._rng: Optional[np.random.Generator] = None
-        self._seed = seed
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = as_generator(self._seed)
-        return self._rng
-
-    def reseed(self, seed: SeedLike) -> None:
-        """Reset the generator; the next ``self.rng`` access recreates it."""
-        self._seed = seed
-        self._rng = None

@@ -50,18 +50,3 @@ def count_in_windows(
     lo = np.searchsorted(times, anchors + offset_lo, side="left")
     hi = np.searchsorted(times, anchors + offset_hi, side="left")
     return (hi - lo).astype(np.int64)
-
-
-def sliding_window_indices(
-    times: np.ndarray, width: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each event ``i`` return ``(lo[i], i)`` bounds of its look-back window.
-
-    ``lo[i]`` is the first index with ``times[lo[i]] > times[i] - width``; the
-    half-open window ``[lo[i], i)`` therefore contains exactly the *earlier*
-    events within ``width`` seconds of event ``i``.  Vectorized with a single
-    ``searchsorted``.
-    """
-    t = check_sorted(np.asarray(times, dtype=np.float64), "times")
-    lo = np.searchsorted(t, t - width, side="right")
-    return lo.astype(np.int64), np.arange(t.size, dtype=np.int64)

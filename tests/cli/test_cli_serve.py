@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli.main import main
+from repro.cli.main import _build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +104,38 @@ def test_serve_replay_rejects_unknown_policy(log_path, model_path):
             "serve-replay", str(log_path), "-m", str(model_path),
             "--policy", "reboot",
         ])
+
+
+#: Flags serve-replay and serve-daemon share: (flag, attribute, default,
+#: a command-line value, its parsed form).
+SHARED_FLAGS = [
+    ("--model", "model", None, "m.json", "m.json"),
+    ("--shards", "shards", 4, "3", 3),
+    ("--key", "key", "midplane", "job", "job"),
+    ("--registry", "registry", None, "reg", "reg"),
+    ("--model-ref", "model_ref", "latest", "prod", "prod"),
+    ("--retrain-every", "retrain_every", None, "100", 100),
+    ("--drift-threshold", "drift_threshold", None, "0.3", 0.3),
+    ("--drift-window", "drift_window", 1024, "64", 64),
+    ("--retrain-window", "retrain_window", 50_000, "500", 500),
+    ("--incremental", "incremental", None, None, True),
+]
+
+
+@pytest.mark.parametrize("command", ["serve-replay", "serve-daemon"])
+@pytest.mark.parametrize("flag,attr,default,value,parsed", SHARED_FLAGS)
+def test_serve_commands_share_lifecycle_flags(
+    command, flag, attr, default, value, parsed
+):
+    parser = _build_parser()
+    assert getattr(parser.parse_args([command]), attr) == default
+    argv = [command, flag] + ([] if value is None else [value])
+    assert getattr(parser.parse_args(argv), attr) == parsed
+
+
+def test_serve_commands_keep_their_own_chunk_and_jobs_defaults():
+    parser = _build_parser()
+    replay = parser.parse_args(["serve-replay"])
+    daemon = parser.parse_args(["serve-daemon"])
+    assert (replay.chunk, replay.jobs) == (2048, None)
+    assert (daemon.chunk, daemon.jobs) == (512, None)

@@ -60,10 +60,9 @@ def test_fit_on_preprocessed_events(anl_events):
 
 
 def test_config_propagates():
-    cfg = PredictorConfig(prediction_window=600.0, miner="fpgrowth")
+    cfg = PredictorConfig(prediction_window=600.0)
     p = ThreePhasePredictor(cfg)
     assert p.rulebased.prediction_window == 600.0
-    assert p.rulebased.miner == "fpgrowth"
     assert p.meta.prediction_window == 600.0
     assert p.statistical.window == cfg.statistical_window
 

@@ -15,6 +15,8 @@ from repro.core.serialize import (
     load_model,
     meta_from_dict,
     meta_to_dict,
+    model_from_dict,
+    model_to_dict,
     register_codec,
     registered_kinds,
     ruleset_from_dict,
@@ -70,6 +72,33 @@ def test_three_phase_roundtrip(anl_events, tmp_path):
     assert [w.detail for w in loaded.predict(test)] == [
         w.detail for w in p.predict(test)
     ]
+
+
+#: Where each kind's document nests its rule-based block(s) and config.
+RULE_BLOCKS = {
+    "rule": [()],
+    "meta": [("meta", "rulebased")],
+    "three-phase": [("meta", "rulebased"), ("config",)],
+}
+
+
+@pytest.mark.parametrize("miner", ["apriori", "fpgrowth"])
+@pytest.mark.parametrize("kind", sorted(RULE_BLOCKS))
+def test_documents_with_retired_miner_key_still_load(
+    fitted_predictors, kind, miner
+):
+    """Documents written while a miner choice existed carry ``"miner"``;
+    they load into the same model (and rule set) as a current document."""
+    current = model_to_dict(fitted_predictors[kind])
+    assert "miner" not in json.dumps(current)
+    legacy = json.loads(json.dumps(current))
+    for path in RULE_BLOCKS[kind]:
+        block = legacy
+        for key in path:
+            block = block[key]
+        block["miner"] = miner
+    loaded = model_from_dict(legacy)
+    assert model_to_dict(loaded) == current
 
 
 def test_ruleset_roundtrip(fitted):

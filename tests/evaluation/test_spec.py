@@ -52,6 +52,19 @@ def test_unknown_kind_and_param_rejected():
         PredictorSpec.rule(banana=1)
 
 
+@pytest.mark.parametrize("kind", ["rule", "meta", "three-phase"])
+def test_retired_miner_param_ignored_on_read_only(kind):
+    current = PredictorSpec.of(kind)
+    legacy = current.as_manifest()
+    legacy["params"]["miner"] = "fpgrowth"
+    restored = PredictorSpec.from_dict(legacy)
+    assert restored == current
+    assert restored.fit_token() == current.fit_token()
+    assert "miner" not in current.as_dict()
+    with pytest.raises(SpecError, match="unknown parameters"):
+        PredictorSpec.of(kind, miner="apriori")
+
+
 def test_param_values_must_be_primitive():
     with pytest.raises(SpecError, match="JSON-stable primitive"):
         PredictorSpec.rule(rule_window=[900.0])

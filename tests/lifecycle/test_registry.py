@@ -18,7 +18,7 @@ from repro.meta.stacked import MetaLearner
 #: Id of the golden fit in the encoding test (the session's ANL meta-learner
 #: with a parent, fingerprint and note); any change to ids shows up here.
 GOLDEN_SNAPSHOT_ID = (
-    "bdb2f4be680700089b6b7d0866d31aa1732c2fd2cb72c589a7f368bfe7860716"
+    "fea62a0de977f4e3bd8c1c7ea49ef40a8e72c7822935a31db9c043be1b06fb6c"
 )
 
 
@@ -229,6 +229,25 @@ def test_snapshot_bytes_and_id_follow_the_documented_encoding(
         version=SNAPSHOT_VERSION,
     )
     assert snap.snapshot_id == GOLDEN_SNAPSHOT_ID
+
+
+@pytest.mark.parametrize("miner", ["apriori", "fpgrowth"])
+def test_manifest_with_retired_miner_param_still_loads(
+    fitted_predictors, registry, miner
+):
+    """Manifests written while a miner choice existed carry it in the spec
+    params; they load as the current spec and its model."""
+    meta = fitted_predictors["meta"]
+    current = registry.save(meta, spec=PredictorSpec.of("meta"))
+    legacy_spec = current.spec.as_manifest()
+    legacy_spec["params"]["miner"] = miner
+    _rewrite_manifest(registry, current.snapshot_id, spec=legacy_spec)
+
+    loaded = ModelRegistry(registry.root).get(current.snapshot_id)
+    assert loaded.spec == PredictorSpec.of("meta")
+    assert loaded.fit_token == PredictorSpec.of("meta").fit_token()
+    model = registry.load(current.snapshot_id)
+    assert model_to_dict(model) == model_to_dict(meta)
 
 
 # ------------------------------------------- two instances on one root

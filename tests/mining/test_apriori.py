@@ -1,12 +1,27 @@
-"""Tests for repro.mining.apriori on hand-checked databases."""
+"""The mining engine's known answers, and the engine against the Apriori oracle.
+
+A one-shot fit fills an empty :class:`IncrementalMiner`; these cases pin its
+itemset counts on the classic textbook database (the one Apriori is usually
+taught with) and compare it with the paper's cited Apriori, kept as the
+test oracle in ``tests/oracles.py``.
+"""
 
 import pytest
 
-from repro.mining.apriori import apriori, support_of
+from repro.mining.incremental import IncrementalMiner
+from repro.util.rng import as_generator
+from tests.oracles import apriori
 
 
 def fs(*items):
     return frozenset(items)
+
+
+def mine(db, min_support, max_len=6):
+    """The engine filled from empty, as a one-shot fit does."""
+    miner = IncrementalMiner()
+    miner.add(db)
+    return miner.itemsets(min_support, max_len)
 
 
 #: Classic textbook database.
@@ -24,7 +39,7 @@ DB = [
 
 
 def test_known_database_counts():
-    result = apriori(DB, min_support=2 / 9)
+    result = mine(DB, min_support=2 / 9)
     # Hand-checked frequent itemsets (min count 2).
     assert result[fs(1)] == 6
     assert result[fs(2)] == 7
@@ -43,37 +58,66 @@ def test_known_database_counts():
     assert fs(1, 4) not in result
 
 
+def test_known_database_matches_apriori():
+    assert mine(DB, 2 / 9) == apriori(DB, 2 / 9)
+
+
+@pytest.mark.parametrize("min_support", [0.1, 0.25, 0.5, 0.9])
+def test_equivalence_random_databases(min_support):
+    rng = as_generator(int(min_support * 100))
+    for _ in range(5):
+        n_items = int(rng.integers(3, 12))
+        db = [
+            frozenset(
+                int(x)
+                for x in rng.choice(
+                    n_items, size=int(rng.integers(0, n_items)), replace=False
+                )
+            )
+            for _ in range(int(rng.integers(1, 60)))
+        ]
+        assert mine(db, min_support) == apriori(db, min_support), db
+
+
 def test_support_threshold_inclusive():
     # Support exactly at the threshold passes.
     db = [fs(1), fs(1), fs(2), fs(2)]
-    result = apriori(db, min_support=0.5)
+    result = mine(db, min_support=0.5)
     assert fs(1) in result and fs(2) in result
 
 
 def test_higher_support_prunes_more():
-    low = apriori(DB, min_support=0.1)
-    high = apriori(DB, min_support=0.5)
+    low = mine(DB, min_support=0.1)
+    high = mine(DB, min_support=0.5)
     assert set(high) <= set(low)
     assert len(high) < len(low)
 
 
 def test_max_len_caps_itemset_size():
-    result = apriori(DB, min_support=0.1, max_len=2)
+    result = mine(DB, min_support=0.1, max_len=2)
     assert all(len(s) <= 2 for s in result)
 
 
+def test_max_len_equivalence():
+    assert mine(DB, 0.1, max_len=2) == apriori(DB, 0.1, max_len=2)
+
+
 def test_empty_database():
-    assert apriori([], min_support=0.1) == {}
+    assert mine([], min_support=0.1) == {}
+
+
+def test_single_transaction():
+    assert mine([fs(1, 2)], 1.0) == {fs(1): 1, fs(2): 1, fs(1, 2): 1}
 
 
 def test_empty_transactions_ignored():
-    result = apriori([fs(), fs(1), fs(1)], min_support=0.5)
+    result = mine([fs(), fs(1), fs(1)], min_support=0.5)
     assert result == {fs(1): 2}
 
 
 def test_apriori_property_holds():
     """Every subset of a frequent itemset is frequent with >= count."""
-    result = apriori(DB, min_support=0.2)
+    result = mine(DB, min_support=0.2)
     for itemset, count in result.items():
         for item in itemset:
             sub = itemset - {item}
@@ -83,15 +127,8 @@ def test_apriori_property_holds():
 
 
 def test_invalid_parameters():
+    for support in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            mine(DB, min_support=support)
     with pytest.raises(ValueError):
-        apriori(DB, min_support=1.5)
-    with pytest.raises(ValueError):
-        apriori(DB, min_support=0.1, max_len=0)
-
-
-def test_support_of():
-    counts = apriori(DB, min_support=0.2)
-    assert support_of([1, 2], counts, len(DB)) == pytest.approx(4 / 9)
-    assert support_of([99], counts, len(DB)) == 0.0
-    with pytest.raises(ValueError):
-        support_of([1], counts, 0)
+        mine(DB, min_support=0.1, max_len=0)

@@ -2,10 +2,11 @@
 
 The incremental engine's whole contract is "exactly what from-scratch mining
 would have produced, cheaper".  Every test here therefore compares against
-:func:`apriori` / :func:`fpgrowth` / :func:`generate_rules` on the same
-multiset, under schedules chosen to stress the delta machinery: evict
-everything and refill, slide overlapping windows, add and evict the same
-batch repeatedly, and cross the support threshold in both directions.
+the Apriori oracle (:func:`apriori`, :func:`reference_rules`) and the
+one-shot :func:`generate_rules` on the same multiset, under schedules
+chosen to stress the delta machinery: evict everything and refill, slide
+overlapping windows, add and evict the same batch repeatedly, and cross the
+support threshold in both directions.
 """
 
 import pytest
@@ -14,18 +15,18 @@ from repro.core.serialize import (
     SerializationError,
     incremental_miner_from_dict,
     incremental_miner_to_dict,
+    ruleset_to_dict,
 )
-from repro.mining.apriori import apriori
 from repro.mining.counts import min_count_for
-from repro.mining.fptree import fpgrowth
 from repro.mining.incremental import (
     CanonicalTree,
     IncrementalMiner,
     IncrementalRuleMiner,
+    generate_rules,
 )
-from repro.mining.rules import generate_rules
 from repro.mining.transactions import EventSetDB
 from repro.util.rng import as_generator
+from tests.oracles import apriori, reference_rules
 
 
 def fs(*items):
@@ -46,12 +47,11 @@ def random_db(rng, n_items=10, max_rows=40):
 
 
 def assert_matches_scratch(miner, min_support, max_len=6):
-    """Incremental itemsets must equal both from-scratch miners exactly."""
+    """Incremental itemsets must equal the Apriori oracle's exactly."""
     current = [
         t for t, w in miner.transaction_counts().items() for _ in range(w)
     ]
     got = miner.itemsets(min_support, max_len)
-    assert got == fpgrowth(current, min_support, max_len=max_len)
     assert got == apriori(current, min_support, max_len=max_len)
 
 
@@ -247,16 +247,17 @@ def ruleset_key(rs):
 
 
 def assert_rules_match(miner, db):
-    incremental = miner.rules()
-    scratch = generate_rules(
-        db,
+    """Maintained rules == one-shot fill == Apriori oracle, bit for bit."""
+    params = dict(
         min_support=miner.min_support,
         min_confidence=miner.min_confidence,
         max_len=miner.max_len,
         combine=miner.combine,
         prune_generalizations=miner.prune_generalizations,
     )
-    assert ruleset_key(incremental) == ruleset_key(scratch)
+    incremental = ruleset_key(miner.rules())
+    assert incremental == ruleset_key(generate_rules(db, **params))
+    assert incremental == ruleset_key(reference_rules(db, **params))
 
 
 ROWS = [
@@ -329,6 +330,35 @@ def test_rule_miner_prefix_grown_names_are_compatible():
     )
     assert miner.sync(grown) == (0, 0)  # same transactions, wider table
     assert_rules_match(miner, grown)
+
+
+def test_rule_miner_zero_delta_label_growth_refreshes_ruleset():
+    """A label entering outside every rule window changes no transaction,
+    but the learned rule set (and so the snapshot id) carries the table."""
+    db = make_db(ROWS)
+    miner = IncrementalRuleMiner(min_support=0.1, min_confidence=0.2)
+    miner.sync(db)
+    before = miner.rules()
+    grown = EventSetDB(
+        bodies=db.bodies,
+        heads=db.heads,
+        item_names=ITEMS + ["lateW"],
+        fatal_items=FATAL,
+    )
+    assert miner.sync(grown) == (0, 0)
+    after = ruleset_to_dict(miner.rules())
+    assert after["item_names"] == ITEMS + ["lateW"]
+    assert after == ruleset_to_dict(generate_rules(grown, 0.1, 0.2))
+    assert ruleset_to_dict(before)["item_names"] == ITEMS
+    # A changed fatal set is refreshed the same way.
+    refatal = EventSetDB(
+        bodies=db.bodies,
+        heads=db.heads,
+        item_names=grown.item_names,
+        fatal_items=fs(X),
+    )
+    assert miner.sync(refatal) == (0, 0)
+    assert_rules_match(miner, refatal)
 
 
 def test_snapshot_roundtrip_preserves_rules():

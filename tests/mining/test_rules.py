@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mining.rules import Rule, RuleMatcher, RuleSet, generate_rules
+from repro.mining import generate_rules
+from repro.mining.rules import Rule, RuleMatcher, RuleSet
 from repro.mining.transactions import EventSetDB
 
 
@@ -106,19 +107,6 @@ def test_empty_db_yields_empty_ruleset():
     rs = generate_rules(db)
     assert len(rs) == 0
     assert rs.best_match({A}) is None
-
-
-def test_unknown_miner(db):
-    with pytest.raises(ValueError, match="miner"):
-        generate_rules(db, miner="magic")
-
-
-def test_miners_agree(db):
-    a = generate_rules(db, min_support=0.1, min_confidence=0.2, miner="apriori")
-    f = generate_rules(db, min_support=0.1, min_confidence=0.2, miner="fpgrowth")
-    assert {(r.body, r.heads, round(r.confidence, 9)) for r in a} == {
-        (r.body, r.heads, round(r.confidence, 9)) for r in f
-    }
 
 
 def test_rule_validation():

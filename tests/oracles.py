@@ -10,15 +10,20 @@ the seed's warning resolution (an O(P) deque rebuild per event).
 :class:`ReferenceOffers` is a stream channel's admission, one event at a
 time.  :func:`reference_cross_validate` is the serial §3.2 fold loop over
 zero-arg predictor factories that the evaluation engine's spec-based
-``cross_validate`` is checked against.  Do not optimise these: their value
-is that they are obviously right, and the deque resolver's cost is what the
-heap resolver is benchmarked against.
+``cross_validate`` is checked against.  :func:`apriori` is the paper's
+cited level-wise frequent-itemset miner (Agrawal & Srikant, VLDB'94 — paper
+[1]) and :func:`reference_rules` mines rules through it with a full-scan body
+counter; the mining engine (``repro.mining.incremental``) is checked against
+both.  Do not optimise these: their value is that they are obviously right,
+and the deque resolver's and Apriori's costs are what the heap resolver and
+the engine are benchmarked against.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Any, Callable, Optional
+from itertools import combinations
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +31,9 @@ from repro.evaluation.crossval import CVResult, fold_index_ranges
 from repro.evaluation.matching import MatchResult, match_warnings
 from repro.evaluation.metrics import Metrics
 from repro.meta.stacked import MetaLearner, MetaStream
+from repro.mining.counts import min_count_for
+from repro.mining.rules import RuleSet, rules_from_itemsets
+from repro.mining.transactions import EventSetDB
 from repro.online.resolution import SessionStats, WarningResolver
 from repro.predictors.base import FailureWarning, Predictor
 from repro.ras.events import NO_JOB, RasEvent
@@ -35,6 +43,7 @@ from repro.serve.protocol import ProtocolError
 from repro.serve.streams import StreamStats
 from repro.serve.sharding import midplane_of, shard_of_key
 from repro.taxonomy.categories import MainCategory
+from repro.util.validation import check_fraction
 
 
 def reference_step(
@@ -333,3 +342,125 @@ class ReferenceOffers:
             if verdict != "ok":
                 return verdict, accepted
         return "ok", len(events)
+
+
+def _count_candidates(
+    transactions: Sequence[frozenset[int]],
+    candidates: set[frozenset[int]],
+    k: int,
+) -> dict[frozenset[int], int]:
+    """Count how many transactions contain each candidate k-itemset."""
+    counts: dict[frozenset[int], int] = defaultdict(int)
+    for t in transactions:
+        if len(t) < k:
+            continue
+        # Enumerating the transaction's own k-subsets is cheaper than testing
+        # every candidate when the transaction is short; otherwise test the
+        # candidate set directly.
+        n_subsets = 1
+        for i in range(k):
+            n_subsets = n_subsets * (len(t) - i) // (i + 1)
+            if n_subsets > len(candidates):
+                break
+        if n_subsets <= len(candidates):
+            for combo in combinations(sorted(t), k):
+                fs = frozenset(combo)
+                if fs in candidates:
+                    counts[fs] += 1
+        else:
+            for c in candidates:
+                if c <= t:
+                    counts[c] += 1
+    return dict(counts)
+
+
+def _join_step(frequent_k: list[frozenset[int]]) -> set[frozenset[int]]:
+    """Join frequent k-itemsets sharing a (k-1)-prefix into (k+1)-candidates."""
+    sorted_sets = sorted(tuple(sorted(s)) for s in frequent_k)
+    candidates: set[frozenset[int]] = set()
+    for i in range(len(sorted_sets)):
+        for j in range(i + 1, len(sorted_sets)):
+            a, b = sorted_sets[i], sorted_sets[j]
+            if a[:-1] != b[:-1]:
+                break  # sorted order: no later j can share the prefix
+            candidates.add(frozenset(a) | frozenset(b))
+    return candidates
+
+
+def _prune_step(
+    candidates: set[frozenset[int]], frequent_k: set[frozenset[int]], k: int
+) -> set[frozenset[int]]:
+    """Drop candidates having an infrequent k-subset (apriori property)."""
+    return {
+        c
+        for c in candidates
+        if all(frozenset(sub) in frequent_k for sub in combinations(c, k))
+    }
+
+
+def apriori(
+    transactions: Sequence[frozenset[int]],
+    min_support: float,
+    max_len: int = 6,
+) -> dict[frozenset[int], int]:
+    """All itemsets with support >= ``min_support``, with absolute counts.
+
+    The classic level-wise algorithm: frequent k-itemsets are joined into
+    (k+1)-candidates, candidates with an infrequent subset are pruned, and
+    the survivors are counted against the database.  ``max_len`` caps the
+    itemset size.
+    """
+    check_fraction(min_support, "min_support")
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    n = len(transactions)
+    if n == 0:
+        return {}
+    min_count = min_count_for(min_support, n)
+
+    item_counts: dict[int, int] = defaultdict(int)
+    for t in transactions:
+        for item in t:
+            item_counts[item] += 1
+    frequent = [
+        frozenset({item}) for item, c in item_counts.items() if c >= min_count
+    ]
+    result = {fs: item_counts[next(iter(fs))] for fs in frequent}
+    k = 1
+    while frequent and k < max_len:
+        candidates = _prune_step(_join_step(frequent), set(frequent), k)
+        if not candidates:
+            break
+        counts = _count_candidates(transactions, candidates, k + 1)
+        frequent = [fs for fs, c in counts.items() if c >= min_count]
+        for fs in frequent:
+            result[fs] = counts[fs]
+        k += 1
+    return result
+
+
+def reference_rules(
+    db: EventSetDB,
+    min_support: float = 0.04,
+    min_confidence: float = 0.2,
+    max_len: int = 6,
+    combine: bool = True,
+    prune_generalizations: bool = True,
+) -> RuleSet:
+    """``generate_rules`` through :func:`apriori` and a full-scan body count."""
+    transactions = db.transactions()
+
+    def scan_body(body: frozenset[int], heads: frozenset[int]) -> tuple[int, int]:
+        hits = [t for t in transactions if body <= t]
+        return len(hits), sum(1 for t in hits if t & heads)
+
+    return rules_from_itemsets(
+        apriori(transactions, min_support, max_len=max_len),
+        len(transactions),
+        item_names=db.item_names,
+        fatal_items=db.fatal_items,
+        min_confidence=min_confidence,
+        combine=combine,
+        prune_generalizations=prune_generalizations,
+        body_counter=scan_body,
+    )

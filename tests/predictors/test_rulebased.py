@@ -130,14 +130,6 @@ def test_predict_empty_ruleset():
     ) == []
 
 
-def test_miner_choice_equivalent(train_store):
-    a = RuleBasedPredictor(miner="apriori").fit(train_store)
-    f = RuleBasedPredictor(miner="fpgrowth").fit(train_store)
-    assert {(r.body, r.heads) for r in a.ruleset} == {
-        (r.body, r.heads) for r in f.ruleset
-    }
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError):
         RuleBasedPredictor(rule_window=0)

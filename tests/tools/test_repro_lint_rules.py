@@ -645,32 +645,31 @@ LIFECYCLE_PATH = "src/repro/lifecycle/retrain.py"
 def test_rl015_flags_scratch_mining_in_lifecycle():
     diags = lint(
         """\
-        from repro.mining.apriori import apriori
-        from repro.mining.fptree import fpgrowth
-        from repro.mining.rules import generate_rules
+        from repro.mining import generate_rules
+        from repro.mining.incremental import generate_rules as one_shot
 
-        def refit(db, transactions):
-            freq = apriori(transactions, 0.04)
-            freq2 = fpgrowth(transactions, 0.04)
-            return generate_rules(db), freq, freq2
+        def refit(db, other):
+            rules = generate_rules(db, 0.04)
+            rules2 = one_shot(other)
+            return generate_rules(db), rules, rules2
         """,
         path=LIFECYCLE_PATH,
         select={"RL015"},
     )
     assert codes_and_lines(diags) == [
+        ("RL015", 5),
         ("RL015", 6),
         ("RL015", 7),
-        ("RL015", 8),
     ]
 
 
 def test_rl015_sees_through_module_aliases():
     diags = lint(
         """\
-        from repro.mining import rules as mining_rules
+        from repro.mining import incremental as mining_engine
 
         def refit(db):
-            return mining_rules.generate_rules(db)
+            return mining_engine.generate_rules(db)
         """,
         path=LIFECYCLE_PATH,
         select={"RL015"},
@@ -680,10 +679,10 @@ def test_rl015_sees_through_module_aliases():
 
 def test_rl015_only_applies_to_lifecycle():
     source = """\
-        from repro.mining.apriori import apriori
+        from repro.mining import generate_rules
 
-        def mine(transactions):
-            return apriori(transactions, 0.04)
+        def mine(db):
+            return generate_rules(db, 0.04)
         """
     assert lint(source, path="src/repro/mining/wrapper.py",
                 select={"RL015"}) == []
@@ -697,10 +696,10 @@ def test_rl015_only_applies_to_lifecycle():
 def test_rl015_ignores_unrelated_functions_with_same_name():
     diags = lint(
         """\
-        from mypackage.stats import apriori
+        from mypackage.stats import generate_rules
 
         def refit(transactions):
-            return apriori(transactions)
+            return generate_rules(transactions)
         """,
         path=LIFECYCLE_PATH,
         select={"RL015"},
@@ -711,10 +710,10 @@ def test_rl015_ignores_unrelated_functions_with_same_name():
 def test_rl015_is_waivable():
     diags = lint(
         """\
-        from repro.mining.fptree import fpgrowth
+        from repro.mining import generate_rules
 
-        def diagnose(transactions):
-            return fpgrowth(transactions, 0.04)  # repro-lint: disable=RL015
+        def diagnose(db):
+            return generate_rules(db, 0.04)  # repro-lint: disable=RL015
         """,
         path=LIFECYCLE_PATH,
         select={"RL015"},

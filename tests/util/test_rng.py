@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import RngMixin, as_generator, spawn_child
+from repro.util.rng import as_generator, spawn_child
 
 
 def test_as_generator_from_int_deterministic():
@@ -46,13 +46,3 @@ def test_spawn_child_rejects_missing_seed_sequence():
     legacy = np.random.Generator(mt)
     with pytest.raises(TypeError, match="SeedSequence"):
         spawn_child(legacy, streams=2)
-
-
-def test_rng_mixin_lazy_and_reseed():
-    class Thing(RngMixin):
-        pass
-
-    t = Thing(seed=5)
-    first = t.rng.random()
-    t.reseed(5)
-    assert t.rng.random() == first

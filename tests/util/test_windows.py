@@ -6,7 +6,6 @@ import pytest
 from repro.util.windows import (
     count_in_windows,
     events_in_window,
-    sliding_window_indices,
     window_slice,
 )
 
@@ -45,16 +44,3 @@ def test_count_in_windows_excludes_self_with_positive_lo(times):
 def test_count_in_windows_requires_sorted():
     with pytest.raises(ValueError):
         count_in_windows(np.array([3.0, 1.0]), np.array([0.0]), 0, 1)
-
-
-def test_sliding_window_indices(times):
-    lo, idx = sliding_window_indices(times, width=15)
-    # Earlier events strictly within 15s: event 1 (t=10) sees event 0.
-    assert lo[1] == 0 and idx[1] == 1
-    # Event 4 (t=100) sees nothing within 15s -> lo == own index.
-    assert lo[4] == 4
-
-
-def test_sliding_window_indices_empty():
-    lo, idx = sliding_window_indices(np.array([]), width=10)
-    assert lo.size == 0 and idx.size == 0

@@ -5,14 +5,15 @@ sets overlap almost entirely.  The incremental mining engine
 (``repro.mining.incremental``, surfaced through ``lifecycle.Retrainer``'s
 :class:`~repro.evaluation.incremental.IncrementalFitter`) maintains the
 mined state across retrains and re-pays only for the window delta, with
-bit-identical results; calling the from-scratch miners from lifecycle code
-silently re-pays the full mining cost on every retrain — exactly the
-regression the incremental engine exists to prevent.
+bit-identical results; calling the one-shot fit ``generate_rules()`` from
+lifecycle code fills a fresh engine from empty and silently re-pays the full
+mining cost on every retrain — exactly the regression the maintained engine
+exists to prevent.
 
 Flagged, in library code under ``src/repro/lifecycle``:
 
-- any call to ``apriori()``, ``fpgrowth()`` or ``generate_rules()`` —
-  whether imported directly or reached as ``module.attr``.
+- any call to ``generate_rules()`` — whether imported directly or reached
+  as ``module.attr``.
 
 Fitting through a :class:`~repro.evaluation.spec.PredictorSpec` (``spec.
 build().fit(...)`` or ``fit_spec``) is not flagged: that path is gated by
@@ -33,8 +34,8 @@ from tools.repro_lint.registry import register
 if TYPE_CHECKING:
     from tools.repro_lint.engine import LintContext
 
-#: The from-scratch mining entry points (repro.mining's public miners).
-SCRATCH_MINERS = frozenset({"apriori", "fpgrowth", "generate_rules"})
+#: The from-scratch mining entry point (repro.mining's one-shot fit).
+SCRATCH_MINERS = frozenset({"generate_rules"})
 
 
 def _called_name(call: ast.Call, ctx: "LintContext") -> Optional[str]:
@@ -60,8 +61,8 @@ class LifecycleScratchMiningRule:
     hint = (
         "lifecycle retrains slide overlapping windows; mine through the "
         "maintained incremental engine (Retrainer's IncrementalFitter / "
-        "repro.mining.incremental) instead of re-running apriori/fpgrowth/"
-        "generate_rules from scratch — see docs/incremental_mining.md"
+        "repro.mining.incremental) instead of a one-shot generate_rules "
+        "fit — see docs/incremental_mining.md"
     )
 
     def check(self, ctx: "LintContext") -> Iterator[Diagnostic]:
