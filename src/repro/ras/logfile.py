@@ -59,10 +59,11 @@ class ReadStats:
     skipped: int = 0
 
 
-#: Canonical facility/severity name -> id.  Lines almost always carry the
-#: canonical upper-case name; any other spelling goes through ``from_name``.
-_FACILITY_IDS: dict[str, int] = {f.name: int(f) for f in Facility}
-_SEVERITY_IDS: dict[str, int] = {s.name: int(s) for s in Severity}
+#: Canonical facility/severity name -> member.  Lines almost always carry
+#: the canonical upper-case name; any other spelling goes through
+#: ``from_name``.
+_FACILITIES: dict[str, Facility] = {f.name: f for f in Facility}
+_SEVERITIES: dict[str, Severity] = {s.name: s for s in Severity}
 
 
 @lru_cache(maxsize=4096)
@@ -95,64 +96,100 @@ def format_event(event: RasEvent, dialect: LogDialect = LogDialect.REPRO) -> str
     raise ValueError(f"unknown dialect: {dialect!r}")
 
 
-def _parse_fields(line: str, line_no: int) -> tuple[int, str, int, int, int, str, str]:
-    """Split one log line into field values, auto-detecting the dialect.
+#: Range of the store's int64 time and job-id columns.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-    Returns ``(time, location, job_id, facility_id, severity_id,
-    entry_data, event_type)``.  A line whose first space-separated token is
-    an integer is REPRO dialect (it starts with the epoch); otherwise the
-    first token is the Loghub alert tag and the epoch is the second token.
-    Facility and severity names are case-insensitive.  Every rule a line
-    must meet, the :class:`RasEvent` invariants (time >= 0, non-empty
-    location) included, raises :class:`LogParseError`, so ``errors="skip"``
-    covers all of them.
+#: A parsed tail, ``(tail id, facility, severity, entry, event_type)``, and
+#: the memo from each distinct tail to its parse or its rejection reason;
+#: a tail's id is its position in the memo.
+_Tail = tuple[int, Facility, Severity, str, str]
+_Memo = dict[str, Union[_Tail, str]]
+
+
+def _parse_tail(tail: str, tail_id: int) -> Union[_Tail, str]:
+    """Parse a line tail, ``event_type facility severity [entry ...]``.
+
+    Returns the parsed tail or the reason it rejects its line.  The grammar
+    is the same in both dialects; :func:`_reject` turns a REPRO tail short
+    of its entry field into "too few fields".
     """
-    # At most nine separators precede the entry (Loghub); splitting no
-    # further keeps the entry's inner spaces as they are.
-    parts = line.rstrip("\n").split(" ", 9)
-    if len(parts) < 9:
-        raise LogParseError(line_no, line, "too few fields")
+    fields = tail.rstrip("\n").split(" ", 3)
+    if len(fields) < 3:
+        return "too few fields"
+    event_type, facility_name, severity_name = fields[:3]
     try:
-        time = int(parts[0])
-        is_repro = True
-    except ValueError:
-        is_repro = False
-    try:
-        if is_repro:
-            location = parts[2]
-            job_id = int(parts[4])
-            event_type, facility, severity = parts[5:8]
-            entry = " ".join(parts[8:])
-        else:
-            time = int(parts[1])
-            location = parts[3]
-            job_id = NO_JOB
-            event_type, facility, severity = parts[6:9]
-            entry = parts[9] if len(parts) > 9 else ""
-        facility_id = _FACILITY_IDS.get(facility)
-        if facility_id is None:
-            facility_id = int(Facility.from_name(facility))
-        severity_id = _SEVERITY_IDS.get(severity)
-        if severity_id is None:
-            severity_id = int(Severity.from_name(severity))
+        facility = _FACILITIES.get(facility_name)
+        if facility is None:
+            facility = Facility.from_name(facility_name)
+        severity = _SEVERITIES.get(severity_name)
+        if severity is None:
+            severity = Severity.from_name(severity_name)
     except ValueError as exc:
-        raise LogParseError(line_no, line, str(exc)) from exc
-    if not entry:
-        raise LogParseError(line_no, line, "empty entry data")
+        return str(exc)
+    if len(fields) < 4 or not fields[3]:
+        return "empty entry data"
+    return tail_id, facility, severity, fields[3], event_type
+
+
+def _reject(line: str, line_no: int, reason: str) -> LogParseError:
+    """The error for a rejected line; "too few fields" outranks every other reason."""
+    if line.count(" ") < 8:  # nine fields need eight separators
+        reason = "too few fields"
+    return LogParseError(line_no, line, reason)
+
+
+def _parse(
+    line: str, line_no: int, tails: _Memo, jobs: dict[str, int]
+) -> tuple[int, str, int, _Tail]:
+    """Split one line into head and tail; returns ``(time, location, job_id, tail)``.
+
+    The head is ``epoch date location stamp job_id`` (REPRO) or ``tag
+    epoch date location stamp location`` (Loghub): a line whose first
+    token is an integer is REPRO, otherwise that token is the Loghub alert
+    tag.  Each distinct tail, and each distinct REPRO job-id token, is
+    parsed once per reader call (the ``tails`` and ``jobs`` memos).  Every
+    rule raises :class:`LogParseError`, the first to fail in this order:
+    too few fields, ``int()`` epoch, ``int()`` job id, the int64 range of
+    both, the tail's facility, severity and non-empty entry, then the
+    :class:`RasEvent` invariants time >= 0 and a non-empty location.
+    """
+    head = line.split(" ", 5)
+    try:
+        try:
+            time = int(head[0])
+        except ValueError:
+            time, job_id = int(head[1]), NO_JOB
+            location, tail = head[3], head[5].partition(" ")[2]
+        else:
+            job_id = jobs.get(head[4])
+            if job_id is None:
+                job_id = jobs[head[4]] = int(head[4])
+            location, tail = head[2], head[5]
+    except (ValueError, IndexError) as exc:
+        raise _reject(line, line_no, str(exc)) from None
+    if not _INT64_MIN <= time <= _INT64_MAX:
+        raise _reject(line, line_no, "epoch out of int64 range")
+    if not _INT64_MIN <= job_id <= _INT64_MAX:
+        raise _reject(line, line_no, "job id out of int64 range")
+    parsed = tails.get(tail)
+    if parsed is None:
+        parsed = tails[tail] = _parse_tail(tail, len(tails))
+    if type(parsed) is str:
+        raise _reject(line, line_no, parsed)
     if time < 0:
         raise LogParseError(line_no, line, f"event time must be >= 0, got {time}")
     if not location:
         raise LogParseError(line_no, line, "location must be non-empty")
-    return time, location, job_id, facility_id, severity_id, entry, event_type
+    return time, location, job_id, parsed
 
 
-def _event(fields: tuple[int, str, int, int, int, str, str]) -> RasEvent:
-    time, location, job_id, facility_id, severity_id, entry, event_type = fields
+def _event(parsed: tuple[int, str, int, _Tail]) -> RasEvent:
+    time, location, job_id, (_, facility, severity, entry, event_type) = parsed
     return RasEvent(
         time=time,
         location=location,
-        facility=Facility(facility_id),
-        severity=Severity(severity_id),
+        facility=facility,
+        severity=severity,
         entry_data=entry,
         job_id=job_id,
         event_type=event_type,
@@ -160,16 +197,17 @@ def _event(fields: tuple[int, str, int, int, int, str, str]) -> RasEvent:
 
 
 def parse_line(line: str, line_no: int = 0) -> RasEvent:
-    """Parse one log line, auto-detecting the dialect (see :func:`_parse_fields`)."""
-    return _event(_parse_fields(line, line_no))
+    """Parse one log line, auto-detecting the dialect (see :func:`_parse`)."""
+    return _event(_parse(line, line_no, {}, {}))
 
 
-def _iter_fields(
+def _iter_parsed(
     source: Union[str, Path, TextIO],
     errors: str,
     stats: ReadStats | None,
-) -> Iterator[tuple[int, str, int, int, int, str, str]]:
-    """Field tuples of the good lines of a log; the one line loop."""
+    tails: _Memo,
+) -> Iterator[tuple[int, str, int, _Tail]]:
+    """Parsed good lines of a log, memoizing tails in ``tails``; the one line loop."""
     if errors not in ("raise", "skip"):
         raise ValueError(f"errors must be 'raise' or 'skip', got {errors!r}")
     if stats is None:
@@ -181,20 +219,22 @@ def _iter_fields(
     else:
         fh = source
     skip = errors == "skip"
+    jobs: dict[str, int] = {}
     try:
         for line_no, line in enumerate(fh, start=1):
             stats.lines += 1
-            if not line.strip():
-                continue
             try:
-                fields = _parse_fields(line, line_no)
+                parsed = _parse(line, line_no, tails, jobs)
             except LogParseError:
+                # A blank line has no integer epoch, so it always lands here.
+                if not line.strip():
+                    continue
                 if not skip:
                     raise
                 stats.skipped += 1
                 continue
             stats.parsed += 1
-            yield fields
+            yield parsed
     finally:
         if own:
             fh.close()
@@ -213,8 +253,8 @@ def iter_log_lines(
         ``"raise"`` (default) raises :class:`LogParseError` on a bad line;
         ``"skip"`` counts it in ``stats`` and continues.
     """
-    for fields in _iter_fields(source, errors, stats):
-        yield _event(fields)
+    for parsed in _iter_parsed(source, errors, stats, {}):
+        yield _event(parsed)
 
 
 def read_log(
@@ -224,39 +264,42 @@ def read_log(
 ):
     """Read a whole log into an :class:`repro.ras.store.EventStore`.
 
-    Lines are parsed straight into column lists and intern tables — no
-    per-line :class:`RasEvent` — and the store is built, time-sorted
-    (stable) and placed on the default backend once at the end.  The
-    result equals ``EventStore.from_events(iter_log_lines(...))``.
+    Lines are parsed straight into column lists, one tail id per line and
+    no :class:`RasEvent`; the store is built, time-sorted (stable) and
+    placed on the default backend once at the end.  The result equals
+    ``EventStore.from_events(iter_log_lines(...))``.
     """
     from repro.ras.store import UNCLASSIFIED, EventStore
 
     times: list[int] = []
     location_ids: list[int] = []
     jobs: list[int] = []
-    facilities: list[int] = []
-    severities: list[int] = []
-    entry_ids: list[int] = []
+    tail_ids: list[int] = []
     # Intern by first appearance: ``setdefault`` hands back the existing id
     # or records the next one.
     locations: dict[str, int] = {}
-    entries: dict[str, int] = {}
-    for time, location, job_id, facility_id, severity_id, entry, _ in _iter_fields(
-        source, errors, stats
-    ):
+    tails: _Memo = {}
+    for time, location, job_id, tail in _iter_parsed(source, errors, stats, tails):
         times.append(time)
         location_ids.append(locations.setdefault(location, len(locations)))
         jobs.append(job_id)
-        facilities.append(facility_id)
-        severities.append(severity_id)
-        entry_ids.append(entries.setdefault(entry, len(entries)))
+        tail_ids.append(tail[0])
+    # The per-tail table, indexed by tail id; a rejected tail's row is a
+    # placeholder no line gathers.  Entries intern in the order of the
+    # first accepted line that carries them, as ``from_events`` does.
+    table = [t if type(t) is tuple else (0, 0, 0, "", "") for t in tails.values()]
+    entries: dict[str, int] = {}
+    tail_entry = np.zeros(len(table), dtype=np.int32)
+    for tail_id in dict.fromkeys(tail_ids):
+        tail_entry[tail_id] = entries.setdefault(table[tail_id][3], len(entries))
+    ids = np.asarray(tail_ids, dtype=np.intp)
     return EventStore.from_columns(
         times,
-        severities,
-        facilities,
+        np.array([t[2] for t in table], dtype=np.int8)[ids],
+        np.array([t[1] for t in table], dtype=np.int8)[ids],
         jobs,
         location_ids,
-        entry_ids,
+        tail_entry[ids],
         np.full(len(times), UNCLASSIFIED, dtype=np.int32),
         list(locations),
         list(entries),

@@ -1,15 +1,18 @@
 """Property tests for the text-log reader and writer.
 
-``read_log`` parses lines straight into store columns; the differential
-test here holds it to the per-line path (``parse_line`` then
-``EventStore.from_events``) on random files mixing both dialects with
-every kind of bad line, in both error modes and on both store backends.
+``read_log`` parses lines straight into store columns and
+``iter_log_lines`` streams events, both memoizing each distinct line tail;
+the differential tests here hold them to the per-line path
+(``parse_line`` then ``EventStore.from_events``) on random files mixing
+both dialects with every kind of bad line, in both error modes and on both
+store backends.
 """
 
 import io
+from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.fingerprint import store_fingerprint
 from repro.ras.events import NO_JOB, RasEvent
@@ -18,7 +21,10 @@ from repro.ras.logfile import (
     LogDialect,
     LogParseError,
     ReadStats,
+    _event,
+    _parse,
     format_event,
+    iter_log_lines,
     parse_line,
     read_log,
 )
@@ -99,7 +105,7 @@ def bad_lines(draw):
     parts = line.split(" ")
     shift = 0 if parts[0].isdigit() else 1
     kind = draw(st.sampled_from(
-        ["truncated", "facility", "severity", "negative", "location", "job", "entry"]
+        ["truncated", "facility", "severity", "negative", "location", "job", "entry", "int64"]
     ))
     if kind == "truncated":
         return " ".join(parts[: draw(st.integers(1, 8))])
@@ -114,6 +120,10 @@ def bad_lines(draw):
     elif kind == "job":
         # A non-integer job id (REPRO), or an epoch that is not one (Loghub).
         parts[4 if shift == 0 else 1] = "x17"
+    elif kind == "int64":
+        # An epoch, or a REPRO job id, that the store's int64 columns cannot hold.
+        field = shift if shift or draw(st.booleans()) else 4
+        parts[field] = str(draw(st.sampled_from([2**63, 10**22, -(2**63) - 1])))
     else:
         parts = parts[: 8 + shift] + [""]
     return " ".join(parts)
@@ -131,37 +141,72 @@ file_lines = st.lists(
 
 
 def _check_file(rows, trailing_newline):
-    text = "".join(line + "\n" for _, line, _ in rows)
-    if not trailing_newline and rows and rows[-1][1]:
-        text = text[:-1]  # an unterminated last line is still one line
-    good = []
     for n, (kind, line, expected) in enumerate(rows, start=1):
         if kind == "good":
-            good.append(parse_line(line, n))
-            assert good[-1] == expected
+            assert parse_line(line, n) == expected
         elif kind == "bad":
             with pytest.raises(LogParseError):
                 parse_line(line, n)
-    expected_fp = store_fingerprint(EventStore.from_events(good))
+    return _check_readers([line for _, line, _ in rows], trailing_newline)
+
+
+def _outcomes(lines):
+    """Per-line oracle: ``None`` for a blank line, else ``parse_line``'s event or error."""
+    out = []
+    for n, line in enumerate(lines, start=1):
+        if not line.strip():
+            out.append(None)
+            continue
+        try:
+            out.append(parse_line(line, n))
+        except LogParseError as exc:
+            out.append(exc)
+    return out
+
+
+def _read_events(source, **kwargs):
+    return list(iter_log_lines(source, **kwargs))
+
+
+def _check_readers(lines, trailing_newline):
+    """``read_log`` and ``iter_log_lines`` against per-line ``parse_line``."""
+    text = "".join(line + "\n" for line in lines)
+    if not trailing_newline and lines and lines[-1]:
+        text = text[:-1]  # an unterminated last line is still one line
+    outcomes = _outcomes(lines)
+    good = [o for o in outcomes if isinstance(o, RasEvent)]
+    n_bad = sum(isinstance(o, LogParseError) for o in outcomes)
+    expected = EventStore.from_events(good)
+    expected_fp = store_fingerprint(expected)
 
     stats = ReadStats()
     store = read_log(io.StringIO(text), errors="skip", stats=stats)
     assert store_fingerprint(store) == expected_fp
-    assert store.to_events() == EventStore.from_events(good).to_events()
-    n_bad = sum(kind == "bad" for kind, _, _ in rows)
-    assert (stats.lines, stats.parsed, stats.skipped) == (len(rows), len(good), n_bad)
-
+    assert store.to_events() == expected.to_events()
+    assert astuple(stats) == (len(lines), len(good), n_bad)
     stats = ReadStats()
-    first_bad = next((n for n, row in enumerate(rows, start=1) if row[0] == "bad"), None)
-    if first_bad is None:
-        assert store_fingerprint(read_log(io.StringIO(text), stats=stats)) == expected_fp
-        assert (stats.lines, stats.parsed, stats.skipped) == (len(rows), len(good), 0)
-    else:
+    assert _read_events(io.StringIO(text), errors="skip", stats=stats) == good
+    assert astuple(stats) == (len(lines), len(good), n_bad)
+
+    first_bad = next(
+        (n for n, o in enumerate(outcomes, start=1) if isinstance(o, LogParseError)), None
+    )
+    for reader in (read_log, _read_events):
+        stats = ReadStats()
+        if first_bad is None:
+            result = reader(io.StringIO(text), stats=stats)
+            if reader is read_log:
+                assert store_fingerprint(result) == expected_fp
+            else:
+                assert result == good
+            assert astuple(stats) == (len(lines), len(good), 0)
+            continue
         with pytest.raises(LogParseError) as info:
-            read_log(io.StringIO(text), stats=stats)
-        assert info.value.line_no == first_bad
-        good_before = sum(kind == "good" for kind, _, _ in rows[: first_bad - 1])
-        assert (stats.lines, stats.parsed, stats.skipped) == (first_bad, good_before, 0)
+            reader(io.StringIO(text), stats=stats)
+        oracle = outcomes[first_bad - 1]
+        assert (info.value.line_no, info.value.reason) == (first_bad, oracle.reason)
+        good_before = sum(isinstance(o, RasEvent) for o in outcomes[: first_bad - 1])
+        assert astuple(stats) == (first_bad, good_before, 0)
     return store
 
 
@@ -172,5 +217,96 @@ def test_read_log_matches_per_line_parse(backend, rows, trailing_newline):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_STORE_BACKEND", backend)
         store = _check_file(rows, trailing_newline)
+    if len(store):
+        assert store.backend_kind == backend
+
+
+# --------------------------------------------------------------------- #
+# Memo differential: a few tails under many heads
+# --------------------------------------------------------------------- #
+
+#: Line tails (``event_type facility severity entry``).  Files draw from
+#: this pool, so most lines meet a tail the reader has already parsed and
+#: every rule fires on memo hits as well as misses.
+TAILS = [
+    "RAS KERNEL INFO ddr error",
+    "RAS kernel Info ddr error",  # case-insensitive names
+    "RAS KERNEL FATAL ddr error",  # the same entry under a second severity
+    "APP APP WARNING  two  spaces ",  # the entry keeps its inner and outer spaces
+    "RAS NOPE INFO msg",  # unknown facility
+    "RAS KERNEL BOGUS msg",  # unknown severity
+    "RAS KERNEL INFO",  # REPRO: too few fields; Loghub: empty entry
+    "RAS KERNEL INFO ",  # empty entry
+    "RAS KERNEL",  # too few fields in both dialects
+]
+
+#: Head tokens, good and bad: a negative or int64-overflowing epoch, a
+#: non-integer or overflowing job id, an empty location.
+HEAD_EPOCHS = ["100", "86400", "0", "-5", "x", str(2**63)]
+HEAD_LOCATIONS = ["R00-M0-N00-C00", "R01-M1-N04-I00", ""]
+HEAD_JOBS = ["5", "-1", "x17", str(2**63)]
+HEAD_TAGS = ["-", "FATAL"]
+DATE, STAMP = "1970.01.01", "1970-01-01-00.01.40.000000"
+
+
+@st.composite
+def heads(draw):
+    """A REPRO or Loghub head, which the readers never validate against the date."""
+    epoch = draw(st.sampled_from(HEAD_EPOCHS))
+    location = draw(st.sampled_from(HEAD_LOCATIONS))
+    if draw(st.booleans()):
+        return f"{epoch} {DATE} {location} {STAMP} {draw(st.sampled_from(HEAD_JOBS))}"
+    tag = draw(st.sampled_from(HEAD_TAGS))
+    return f"{tag} {epoch} {DATE} {location} {STAMP} {location}"
+
+
+memo_lines = st.lists(
+    st.one_of(
+        st.tuples(heads(), st.sampled_from(TAILS)).map(" ".join),
+        st.just(""),
+    ),
+    max_size=40,
+)
+
+GOOD_HEAD = f"100 {DATE} R00-M0-N00-C00 {STAMP} 5"
+NEGATIVE_HEAD = f"-5 {DATE} R00-M0-N00-C00 {STAMP} 5"
+NO_LOCATION_HEAD = f"- 100 {DATE}  {STAMP} "
+
+
+@pytest.mark.parametrize("backend", ["memory", "columnar"])
+@settings(max_examples=80, deadline=None)
+@given(lines=memo_lines, trailing_newline=st.booleans())
+# A tail first met on rejected lines, then accepted; entry ids follow the
+# first accepted line, so "ddr error" must intern after "msg".
+@example(
+    lines=[
+        f"{NEGATIVE_HEAD} RAS KERNEL INFO ddr error",
+        f"{NO_LOCATION_HEAD} RAS KERNEL INFO ddr error",
+        f"{GOOD_HEAD} RAS KERNEL INFO msg",
+        f"{GOOD_HEAD} RAS KERNEL INFO ddr error",
+        f"{GOOD_HEAD} RAS KERNEL FATAL ddr error",
+    ],
+    trailing_newline=True,
+)
+# One tail, two reasons: too few fields on a REPRO line, empty entry on a
+# Loghub line; the memo must not keep the first line's verdict.
+@example(
+    lines=[f"{GOOD_HEAD} RAS KERNEL INFO", f"- 100 {DATE} R00 {STAMP} R00 RAS KERNEL INFO"],
+    trailing_newline=True,
+)
+def test_tail_memo_matches_per_line_parse(backend, lines, trailing_newline):
+    # The readers show only the first bad line's reason; one memo shared
+    # across the file must give every line parse_line's outcome.
+    tails, jobs = {}, {}
+    for n, (line, oracle) in enumerate(zip(lines, _outcomes(lines)), start=1):
+        if isinstance(oracle, LogParseError):
+            with pytest.raises(LogParseError) as info:
+                _parse(line, n, tails, jobs)
+            assert (info.value.line_no, info.value.reason) == (n, oracle.reason)
+        elif oracle is not None:
+            assert _event(_parse(line, n, tails, jobs)) == oracle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_STORE_BACKEND", backend)
+        store = _check_readers(lines, trailing_newline)
     if len(store):
         assert store.backend_kind == backend

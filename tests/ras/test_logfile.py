@@ -116,15 +116,23 @@ def test_mixed_dialect_file(tmp_path):
     assert len(store) == 2
 
 
-# A negative epoch and an empty location field break RasEvent invariants;
+# A negative epoch and an empty location field break RasEvent invariants,
+# and an epoch or job id outside int64 does not fit the store's columns;
 # the reader must report them as parse errors, not crash a skip-mode read.
 NEGATIVE_EPOCH = "-5 1970.01.01 R00 1970-01-01-00.00.00.000000 5 RAS KERNEL INFO msg"
 EMPTY_LOCATION = "100 1970.01.01  1970-01-01-00.01.40.000000 5 RAS KERNEL INFO msg"
+HUGE_EPOCH = "99999999999999999999999 1970.01.01 R00 1970-01-01-00.00.00.000000 5 RAS KERNEL INFO m"
+HUGE_JOB = "100 1970.01.01 R00 1970-01-01-00.01.40.000000 9223372036854775808 RAS KERNEL INFO msg"
 
 
 @pytest.mark.parametrize(
     "line, reason",
-    [(NEGATIVE_EPOCH, "event time must be >= 0"), (EMPTY_LOCATION, "location must be non-empty")],
+    [
+        (NEGATIVE_EPOCH, "event time must be >= 0"),
+        (EMPTY_LOCATION, "location must be non-empty"),
+        (HUGE_EPOCH, "epoch out of int64 range"),
+        (HUGE_JOB, "job id out of int64 range"),
+    ],
 )
 def test_invariant_violations_raise_parse_error(line, reason):
     with pytest.raises(LogParseError, match=reason):
@@ -133,7 +141,7 @@ def test_invariant_violations_raise_parse_error(line, reason):
         read_log(io.StringIO(line + "\n"))
 
 
-@pytest.mark.parametrize("line", [NEGATIVE_EPOCH, EMPTY_LOCATION])
+@pytest.mark.parametrize("line", [NEGATIVE_EPOCH, EMPTY_LOCATION, HUGE_EPOCH, HUGE_JOB])
 def test_invariant_violations_skipped(line):
     good = format_event(make_event())
     stats = ReadStats()
