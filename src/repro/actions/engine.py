@@ -106,6 +106,11 @@ class ActionEngine:
         self._ckpt_marks: Dict[int, int] = {}
         self._killed: set[int] = set()
         self._fatal_history: Deque[Tuple[float, int]] = deque()
+        #: Location id -> midplane for the last location table seen, keyed
+        #: like :class:`~repro.ras.backend.TableMap`; each entry is resolved
+        #: at its first row, so the view numbers midplanes in stream order.
+        self._loc_strings: Optional[List[str]] = None
+        self._loc_midplanes: List[Optional[int]] = []
         get_registry().gauge(
             "actions.engine", 1.0, policy=policy.name, **self._labels
         )
@@ -120,6 +125,13 @@ class ActionEngine:
         """Absorb one chunk of events and the warnings raised over it."""
         self._pending.extend(warnings)
         loc_table = store.location_table
+        midplanes = self._loc_midplanes
+        if loc_table is not self._loc_strings or len(midplanes) > len(loc_table):
+            self._loc_strings, midplanes = loc_table, []
+            self._loc_midplanes = midplanes
+        midplanes.extend([None] * (len(loc_table) - len(midplanes)))
+        midplane_index = self.view.midplane_index
+        observe = self.view.observe_midplane
         due = self._next_due()
         for t, loc_id, job, fatal in zip(
             store.times.tolist(),
@@ -133,10 +145,12 @@ class ActionEngine:
                 self._decide_before(t)
                 self._expire_before(t)
                 due = self._next_due()
-            location = loc_table[loc_id]
-            self.view.observe(t, location, job)
+            mp = midplanes[loc_id]
+            if mp is None:
+                mp = midplanes[loc_id] = midplane_index(loc_table[loc_id])
+            observe(t, mp, job)
             if fatal:
-                self._on_fatal(t, location)
+                self._on_fatal(t, mp)
                 due = self._next_due()
 
     def _next_due(self) -> float:
@@ -255,8 +269,7 @@ class ActionEngine:
         for o in expired:
             self._settle(o, "false_alarm", o.action.deadline)
 
-    def _on_fatal(self, t: int, location: str) -> None:
-        mp = self.view.midplane_index(location)
+    def _on_fatal(self, t: int, mp: int) -> None:
         if mp < 0:
             return
         self._fatal_history.append((float(t), mp))

@@ -20,7 +20,7 @@ what lets the daemon's ledger match the one-shot replay ledger bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Protocol
 
 from repro.bgl.jobs import IDLE, JobTrace
 from repro.serve.sharding import midplane_of
@@ -62,6 +62,10 @@ class JobView(Protocol):
 
     def observe(self, time: float, location: str, job_id: int) -> None:
         """Absorb one event observation (no-op for exact-trace views)."""
+        ...
+
+    def observe_midplane(self, time: float, midplane: int, job_id: int) -> None:
+        """:meth:`observe` with the location already resolved by :meth:`midplane_index`."""
         ...
 
 
@@ -114,15 +118,20 @@ class TraceJobView:
     def observe(self, time: float, location: str, job_id: int) -> None:
         return None  # the trace already knows everything
 
+    def observe_midplane(self, time: float, midplane: int, job_id: int) -> None:
+        return None
+
 
 class _SeenJob:
-    __slots__ = ("job_id", "first_seen", "last_seen", "midplanes")
+    __slots__ = ("job_id", "first_seen", "last_seen", "midplanes", "running")
 
-    def __init__(self, job_id: int, time: float, midplane: int) -> None:
+    def __init__(self, job_id: int, time: float) -> None:
         self.job_id = job_id
         self.first_seen = time
         self.last_seen = time
-        self.midplanes: set[int] = {midplane} if midplane >= 0 else set()
+        self.midplanes: set[int] = set()
+        #: The job as queries return it; rebuilt after it widens.
+        self.running: Optional[RunningJob] = None
 
 
 class StreamJobView:
@@ -132,6 +141,13 @@ class StreamJobView:
     reports from, and is presumed finished ``ttl_seconds`` after its last
     event.  Midplane strings get dense indices in first-seen stream order —
     deterministic for a fixed event order, chunked or not.
+
+    Queries scan an index of live jobs, one per midplane for
+    :meth:`occupant`; a scan drops the jobs it finds past their TTL.  That
+    assumes queries move forward in time, as the engine's do: a query
+    earlier than the latest one scans every record instead.  An expired
+    job keeps its record, so a job id that recurs after its TTL keeps its
+    ``first_seen`` and rejoins the index.
     """
 
     def __init__(
@@ -145,18 +161,28 @@ class StreamJobView:
         self._mp_index: Dict[str, int] = {}
         self._loc_index: Dict[str, int] = {}  # memo: location -> midplane index
         self._jobs: Dict[int, _SeenJob] = {}
+        #: Live jobs by midplane; key ``None`` holds every live job.
+        self._live: Dict[Optional[int], Dict[int, _SeenJob]] = {None: {}}
+        self._swept = float("-inf")  # the latest query time
 
     def observe(self, time: float, location: str, job_id: int) -> None:
-        mp = self.midplane_index(location) if location else -1
+        self.observe_midplane(time, self.midplane_index(location), job_id)
+
+    def observe_midplane(self, time: float, midplane: int, job_id: int) -> None:
         if job_id < 0:
             return
         seen = self._jobs.get(job_id)
         if seen is None:
-            self._jobs[job_id] = _SeenJob(job_id, time, mp)
-            return
-        seen.last_seen = max(seen.last_seen, time)
-        if mp >= 0:
-            seen.midplanes.add(mp)
+            seen = self._jobs[job_id] = self._live[None][job_id] = _SeenJob(job_id, time)
+        elif time > seen.last_seen:
+            if seen.last_seen + self._ttl < self._swept:  # a query may have dropped it
+                for key in (None, *seen.midplanes):
+                    self._live[key][job_id] = seen
+            seen.last_seen = time
+        if midplane >= 0 and midplane not in seen.midplanes:
+            seen.midplanes.add(midplane)
+            seen.running = None
+            self._live.setdefault(midplane, {})[job_id] = seen
 
     def midplane_index(self, location: str) -> int:
         idx = self._loc_index.get(location)
@@ -171,34 +197,44 @@ class StreamJobView:
         return max(len(self._mp_index), 1)
 
     def _as_running(self, seen: _SeenJob) -> RunningJob:
-        width = self._nodes * max(len(seen.midplanes), 1)
-        return RunningJob(
-            job_id=seen.job_id,
-            start=int(seen.first_seen),
-            midplanes=tuple(sorted(seen.midplanes)),
-            width_nodes=width,
-        )
+        if seen.running is None:
+            seen.running = RunningJob(
+                job_id=seen.job_id,
+                start=int(seen.first_seen),
+                midplanes=tuple(sorted(seen.midplanes)),
+                width_nodes=self._nodes * max(len(seen.midplanes), 1),
+            )
+        return seen.running
+
+    def _alive(self, now: float, midplane: Optional[int] = None) -> List[_SeenJob]:
+        """Jobs running at ``now`` (only those on ``midplane``, if given)."""
+        ttl = self._ttl
+        if now < self._swept:
+            return [s for s in self._jobs.values() if s.first_seen <= now <= s.last_seen + ttl
+                    and (midplane is None or midplane in s.midplanes)]
+        self._swept = now
+        index = self._live.get(midplane, {})
+        alive, expired = [], []
+        for seen in index.values():
+            if seen.last_seen + ttl < now:
+                expired.append(seen.job_id)
+            elif seen.first_seen <= now:
+                alive.append(seen)
+        for job_id in expired:
+            del index[job_id]
+        return alive
 
     def running(self, now: float) -> List[RunningJob]:
-        out = [
-            self._as_running(seen)
-            for seen in self._jobs.values()
-            if seen.first_seen <= now <= seen.last_seen + self._ttl
-        ]
-        out.sort(key=lambda j: j.job_id)
-        return out
+        alive = sorted(self._alive(now), key=lambda s: s.job_id)
+        return [self._as_running(seen) for seen in alive]
 
     def occupant(self, midplane: int, now: float) -> Optional[RunningJob]:
-        best: Optional[_SeenJob] = None
-        for seen in self._jobs.values():
-            if midplane not in seen.midplanes:
-                continue
-            if not seen.first_seen <= now <= seen.last_seen + self._ttl:
-                continue
-            if best is None or seen.job_id < best.job_id:
-                best = seen
-        return self._as_running(best) if best is not None else None
+        alive = self._alive(now, midplane)
+        return self._as_running(min(alive, key=lambda s: s.job_id)) if alive else None
 
     def forget(self, job_id: int) -> None:
         """Drop a job the engine knows was killed (frees occupancy)."""
-        self._jobs.pop(job_id, None)
+        seen = self._jobs.pop(job_id, None)
+        if seen is not None:
+            for key in (None, *seen.midplanes):
+                self._live[key].pop(job_id, None)

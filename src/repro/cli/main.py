@@ -24,7 +24,7 @@ from repro.preprocess.summary import (
     severity_breakdown,
 )
 from repro.ras.columnar import is_columnar_dir, open_store
-from repro.ras.logfile import LogDialect, iter_log_lines, read_log, write_log
+from repro.ras.logfile import LogDialect, iter_log_batches, read_log, write_log
 from repro.synth.generator import LogGenerator
 from repro.synth.profiles import profile_by_name
 from repro.util.timeutil import MINUTE
@@ -1287,13 +1287,8 @@ def _cmd_store_convert(args: argparse.Namespace) -> int:
                 # True streaming parse: the text log never materializes.
                 n = 0
                 with ColumnarWriter(args.dst) as writer:
-                    buf: list = []
-                    for ev in iter_log_lines(args.src, errors="skip"):
-                        buf.append(ev)
-                        if len(buf) >= args.chunk:
-                            n += writer.append_events(buf)
-                            buf.clear()
-                    n += writer.append_events(buf)
+                    for batch in iter_log_batches(args.src, args.chunk, errors="skip"):
+                        n += writer.append_batch(batch)
         else:
             source = open_store(args.src) if src_columnar else read_log(
                 args.src, errors="skip"

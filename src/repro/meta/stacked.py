@@ -31,11 +31,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.mining.rules import Rule, RuleMatcher, RuleSet, item_ids_for
+from repro.mining.rules import Rule, RuleMatcher, RuleSet, classified_subcats
 from repro.obs import get_registry
 from repro.predictors.base import FailureWarning, Predictor
 from repro.predictors.rulebased import RuleBasedPredictor
 from repro.predictors.statistical import StatisticalPredictor
+from repro.ras.backend import TableMap
 from repro.ras.store import EventStore
 from repro.taxonomy.categories import MainCategory
 from repro.util.timeutil import MINUTE
@@ -83,9 +84,13 @@ class MetaStream:
             item_index.setdefault(name, len(item_index))
         self._item_index = item_index
         #: A label the model never saw counts as the classifier's fallback.
-        self._unseen = item_index[clf.label_names[-1]]
+        self._unseen = unseen = item_index[clf.label_names[-1]]
         #: Item id -> main category (consulted for fatal arrivals only).
         self._categories = [clf.category_of_label(n) for n in item_index]
+        #: Compiled once per model: main category -> candidate confidence.
+        self._stat_conf_map = {c: statistical.candidate_confidence(c) for c in MainCategory}
+        #: Compiled once per label table: store label id -> item id, by name.
+        self._items = TableMap(lambda name: item_index.get(name, unseen))
 
         self._matcher = RuleMatcher(ruleset)
         self._window_events: deque[tuple[int, int]] = deque()  # non-fatal
@@ -136,14 +141,21 @@ class MetaStream:
         self.dispatch_counts["statistical"] += 1
         return warning
 
+    def item_ids(self, store: EventStore) -> np.ndarray:
+        """A classified store's labels in the stream's item space, by name.
+
+        Equal to :func:`~repro.mining.rules.item_ids_for`, through a remap
+        compiled once per label table instead of once per call.
+        """
+        return self._items(store.subcat_table)[classified_subcats(store)]
+
     def detect(self, store: EventStore) -> list[FailureWarning]:
         """Run a classified store through the dispatch; returns its warnings.
 
-        The store's labels are mapped into the stream's item space by name
-        once (:func:`~repro.mining.rules.item_ids_for`), the columns are
-        bulk-converted to Python scalars, and every attribute and method
-        lookup is hoisted out of the per-event loop.  Time order is
-        validated once, vectorized.
+        The store's labels are mapped into the stream's item space
+        (:meth:`item_ids`), the columns are bulk-converted to Python
+        scalars, and every attribute and method lookup is hoisted out of
+        the per-event loop.  Time order is validated once, vectorized.
         """
         n = len(store)
         if n == 0:
@@ -162,7 +174,7 @@ class MetaStream:
                 f"({int(times[0])} < {self._last_time})"
             )
         t_list = times.tolist()
-        item_list = item_ids_for(store, self._item_index, self._unseen).tolist()
+        item_list = self.item_ids(store).tolist()
         fatal_list = store.fatal_mask().tolist()
 
         out: list[FailureWarning] = []
@@ -186,7 +198,7 @@ class MetaStream:
         trigger_append = trigger_history.append
         trigger_popleft = trigger_history.popleft
         stat_conf_until = self._stat_conf_until  # mutated in place, never rebound
-        stat_conf_map = self.statistical.candidate_confidence_map()
+        stat_conf_map = self._stat_conf_map
         emit_rule = self._emit_rule
         emit_stat = self._emit_stat
 

@@ -257,16 +257,22 @@ def item_ids_for(
     result does not depend on the order in which the store interned its
     labels.  A label ``item_index`` lacks maps to ``unseen``.
     """
-    if len(store) and bool(np.any(store.subcat_ids == UNCLASSIFIED)):
-        raise ValueError(
-            "store has unclassified rows; run the Phase-1 pipeline first"
-        )
     remap = np.array(
         [item_index.get(name, unseen) for name in store.subcat_table]
         or [unseen],
         dtype=np.int64,
     )
-    return remap[store.subcat_ids]
+    return remap[classified_subcats(store)]
+
+
+def classified_subcats(store: EventStore) -> np.ndarray:
+    """A store's subcategory ids; raises if any row is unclassified."""
+    ids = store.subcat_ids
+    if len(ids) and bool((ids == UNCLASSIFIED).any()):
+        raise ValueError(
+            "store has unclassified rows; run the Phase-1 pipeline first"
+        )
+    return ids
 
 
 class RuleMatcher:

@@ -239,13 +239,3 @@ class StatisticalPredictor(Predictor):
         if category not in self.trigger_categories:
             return None
         return self.follow_probability.get(category, 0.0)
-
-    def candidate_confidence_map(self) -> dict[MainCategory, Optional[float]]:
-        """:meth:`candidate_confidence` for every category, precomputed.
-
-        The batched dispatch path hoists this table out of its event loop so
-        the per-fatal cost is one dict lookup instead of a method call plus a
-        fitted-state check.
-        """
-        self._check_fitted()
-        return {cat: self.candidate_confidence(cat) for cat in MainCategory}

@@ -33,7 +33,7 @@ import os
 import shutil
 import tempfile
 from itertools import islice
-from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -100,6 +100,32 @@ class InternTable:
     def __setstate__(self, strings: list[str]) -> None:
         self.strings = list(strings)
         self._index = {s: i for i, s in enumerate(self.strings)}
+
+
+class TableMap:
+    """``fn`` of each string of an append-only intern table, indexed by id.
+
+    Kept for the last table seen, keyed by a strong reference to its
+    ``strings`` list (never ``id()``) plus its length: the same list, grown,
+    is extended by its new strings; any other list compiles afresh.
+    """
+
+    __slots__ = ("_fn", "_strings", "_values")
+
+    def __init__(self, fn: Callable[[str], int]) -> None:
+        self._fn = fn
+        self._strings: Optional[list[str]] = None
+        self._values = np.empty(0, dtype=np.int64)
+
+    def __call__(self, strings: list[str]) -> np.ndarray:
+        values, fn = self._values, self._fn
+        if strings is not self._strings or len(values) > len(strings):
+            self._strings = strings
+            values = self._values = np.array([fn(s) for s in strings], dtype=np.int64)
+        elif len(values) < len(strings):
+            grown = [fn(s) for s in strings[len(values):]]
+            values = self._values = np.concatenate([values, np.array(grown, dtype=np.int64)])
+        return values
 
 
 def readonly_view(arr: np.ndarray) -> np.ndarray:

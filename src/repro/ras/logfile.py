@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO, Union
 
@@ -30,7 +31,9 @@ import numpy as np
 
 from repro.ras.events import NO_JOB, RasEvent
 from repro.ras.fields import Facility, Severity
+from repro.ras.store import UNCLASSIFIED, EventBatch, EventStore
 from repro.util.timeutil import DAY, HOUR, MINUTE, format_bgl_date, format_bgl_timestamp
+from repro.util.validation import check_positive
 
 
 class LogDialect(enum.Enum):
@@ -257,6 +260,24 @@ def iter_log_lines(
         yield _event(parsed)
 
 
+def iter_log_batches(
+    source: Union[str, Path, TextIO],
+    chunk_events: int,
+    errors: str = "raise",
+    stats: ReadStats | None = None,
+) -> Iterator[EventBatch]:
+    """:func:`iter_log_lines` as :class:`~repro.ras.store.EventBatch` chunks of
+    at most ``chunk_events`` rows, with no :class:`RasEvent` per line."""
+    check_positive(chunk_events, "chunk_events")
+    rows = (
+        (time, location, facility, severity, entry, job_id, event_type, None)
+        for time, location, job_id, (_, facility, severity, entry, event_type)
+        in _iter_parsed(source, errors, stats, {})
+    )
+    while chunk := list(islice(rows, chunk_events)):
+        yield EventBatch(*map(list, zip(*chunk)))
+
+
 def read_log(
     source: Union[str, Path, TextIO],
     errors: str = "raise",
@@ -269,8 +290,6 @@ def read_log(
     placed on the default backend once at the end.  The result equals
     ``EventStore.from_events(iter_log_lines(...))``.
     """
-    from repro.ras.store import UNCLASSIFIED, EventStore
-
     times: list[int] = []
     location_ids: list[int] = []
     jobs: list[int] = []

@@ -564,45 +564,32 @@ class EventStore:
     def concat(self, other: "EventStore") -> "EventStore":
         """Merge two stores into a new time-sorted store.
 
-        Intern ids of ``other`` are remapped onto this store's tables.
+        Intern ids of ``other`` are remapped onto copies of this store's
+        tables.  A table of ``other`` that extends this store's (a list
+        prefix: ``other`` was cut from a store whose table this one copied)
+        already holds every id in place, so it is copied, not re-interned.
         """
-        locations = self._locations.copy()
-        entries = self._entries.copy()
-        subcats = self._subcats.copy()
-        loc_map = np.array(
-            [locations.intern(s) for s in other._locations.strings] or [0],
-            dtype=np.int32,
+        tables, ids = [], []
+        for table, column in (("locations", "location_ids"), ("entries", "entry_ids"),
+                              ("subcats", "subcat_ids")):
+            mine, theirs = self.table(table).strings, other.table(table).strings
+            other_ids = other.column(column)
+            if theirs[: len(mine)] == mine:
+                merged = InternTable(theirs)
+            else:
+                merged = InternTable(mine)
+                remap = np.array(merged.intern_all(theirs) or [0], dtype=np.int32)
+                # Only subcategories hold UNCLASSIFIED, which stays as it is.
+                other_ids = np.where(other_ids == UNCLASSIFIED, other_ids, remap[other_ids])
+            tables.append(merged)
+            ids.append(np.concatenate([self.column(column), other_ids]))
+        merged_store = EventStore(
+            *(np.concatenate([self.column(c), other.column(c)])
+              for c in ("times", "severities", "facilities", "jobs")),
+            *ids,
+            *tables,
         )
-        ent_map = np.array(
-            [entries.intern(s) for s in other._entries.strings] or [0],
-            dtype=np.int32,
-        )
-        sub_map = np.array(
-            [subcats.intern(s) for s in other._subcats.strings] or [0],
-            dtype=np.int32,
-        )
-        other_sub = other.subcat_ids.copy()
-        mask = other_sub != UNCLASSIFIED
-        remapped_sub = np.full(len(other), UNCLASSIFIED, dtype=np.int32)
-        if mask.any():
-            remapped_sub[mask] = sub_map[other_sub[mask]]
-        merged = EventStore(
-            np.concatenate([self.times, other.times]),
-            np.concatenate([self.severities, other.severities]),
-            np.concatenate([self.facilities, other.facilities]),
-            np.concatenate([self.jobs, other.jobs]),
-            np.concatenate(
-                [self.location_ids, loc_map[other.location_ids] if len(other) else other.location_ids]
-            ),
-            np.concatenate(
-                [self.entry_ids, ent_map[other.entry_ids] if len(other) else other.entry_ids]
-            ),
-            np.concatenate([self.subcat_ids, remapped_sub]),
-            locations,
-            entries,
-            subcats,
-        )
-        return merged.sorted_by_time()
+        return merged_store.sorted_by_time()
 
     # ------------------------------------------------------------------ #
     # Masks and summaries

@@ -38,8 +38,9 @@ from repro.obs import get_registry
 from repro.online.detector import OnlineSession
 from repro.online.resolution import SessionStats
 from repro.predictors.base import FailureWarning
+from repro.ras.backend import TableMap
 from repro.ras.store import EventStore
-from repro.serve.sharding import SHARD_KEYS, shard_ids
+from repro.serve.sharding import SHARD_KEYS, midplane_of, shard_ids, shard_of_key
 from repro.util.validation import check_positive
 
 
@@ -136,9 +137,13 @@ class DetectorPool:
         if not meta.is_fitted:
             raise ValueError("MetaLearner must be fitted before serving")
         self.meta = meta
-        self.shards = int(shards)
+        self.shards = shards = int(shards)
         self.key = key
         self._sessions: dict[int, OnlineSession] = {}
+        #: Compiled once per location table: location id -> shard.
+        self._location_shards = TableMap(
+            lambda location: shard_of_key(midplane_of(location), shards)
+        )
 
     # ---------------------------------------------------------------- #
     # Daemon mode (persistent sessions, chunk by chunk)
@@ -230,8 +235,15 @@ class DetectorPool:
 
         Each sub-store preserves stream order within its shard; intern
         tables are shared with the parent store (``select`` semantics).
+        One shard takes the store itself; midplane keys go through a
+        location -> shard map compiled once per location table.
         """
-        assignment = shard_ids(store, self.key, self.shards)
+        if self.shards == 1:
+            return [(0, store)] if len(store) else []
+        if self.key == "midplane":
+            assignment = self._location_shards(store.location_table)[store.location_ids]
+        else:
+            assignment = shard_ids(store, self.key, self.shards)
         parts = []
         for shard in range(self.shards):
             idx = np.flatnonzero(assignment == shard)

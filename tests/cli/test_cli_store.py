@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from repro.cache.fingerprint import store_fingerprint
 from repro.cli.main import main
 from repro.ras.columnar import is_columnar_dir, open_store
+from repro.ras.logfile import read_log
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +75,28 @@ def test_store_convert_round_trip(store_path, tmp_path, capsys):
     assert rc == 0
     assert is_columnar_dir(back)
     assert len(open_store(back)) == len(open_store(store_path))
+    assert store_fingerprint(open_store(back)) == store_fingerprint(read_log(log_path))
 
     again = tmp_path / "again.log"
     rc = main(["store", "convert", str(back), str(again)])
     assert rc == 0
     assert again.read_text() == log_path.read_text()
+
+
+def test_store_convert_log_equals_read_log(store_path, tmp_path):
+    """Text -> columnar skips a bad line and equals read_log across chunks."""
+    lines = tmp_path / "src.log"
+    main(["store", "convert", str(store_path), str(lines)])
+    text = lines.read_text().splitlines(keepends=True)
+    text.insert(5, "this line is not a RAS record\n")
+    lines.write_text("".join(text))
+    dst = tmp_path / "chunked"
+    rc = main(["store", "convert", str(lines), str(dst), "--chunk", "4096"])
+    assert rc == 0
+    converted = open_store(dst)
+    assert len(converted) == len(text) - 1
+    assert len(converted) > 4096
+    assert store_fingerprint(converted) == store_fingerprint(read_log(lines, errors="skip"))
 
 
 def test_store_convert_compacts_columnar_to_columnar(store_path, tmp_path):

@@ -5,6 +5,11 @@ event at a time, over a :class:`~repro.meta.stacked.MetaStream`'s own state,
 so a stream can be driven by it or by the batch loop (``MetaStream.detect``)
 and the two compared warning for warning.  :class:`LegacyDequeResolver` is
 the seed's warning resolution (an O(P) deque rebuild per event).
+:class:`PerChunkPool` and :class:`RowByRowEngine` are the serving pool and
+the action engine without tables compiled per model or per intern table
+(labels through ``item_ids_for``, shards through ``shard_ids``, locations
+one row at a time), and :class:`ScanJobView` is the stream job view that
+scans every record per query.
 :func:`reference_event_from_dict` decodes one wire event payload into a
 :class:`RasEvent` (the columnar ``decode_events`` is checked against it) and
 :class:`ReferenceOffers` is a stream channel's admission, one event at a
@@ -27,13 +32,16 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.actions.engine import ActionEngine
+from repro.actions.jobview import RunningJob
 from repro.evaluation.crossval import CVResult, fold_index_ranges
 from repro.evaluation.matching import MatchResult, match_warnings
 from repro.evaluation.metrics import Metrics
 from repro.meta.stacked import MetaLearner, MetaStream
 from repro.mining.counts import min_count_for
-from repro.mining.rules import RuleSet, rules_from_itemsets
+from repro.mining.rules import RuleSet, item_ids_for, rules_from_itemsets
 from repro.mining.transactions import EventSetDB
+from repro.online.detector import OnlineSession
 from repro.online.resolution import SessionStats, WarningResolver
 from repro.predictors.base import FailureWarning, Predictor
 from repro.ras.events import NO_JOB, RasEvent
@@ -41,7 +49,7 @@ from repro.ras.fields import Facility, Severity
 from repro.ras.store import EventStore
 from repro.serve.protocol import ProtocolError
 from repro.serve.streams import StreamStats
-from repro.serve.sharding import midplane_of, shard_of_key
+from repro.serve.sharding import midplane_of, shard_ids, shard_of_key
 from repro.taxonomy.categories import MainCategory
 from repro.util.validation import check_fraction
 
@@ -200,6 +208,114 @@ def reference_pool_stats(
     for shard in sorted(sessions):
         combined.merge(sessions[shard].finish())
     return combined
+
+
+class PerCallStream(MetaStream):
+    """A dispatch stream mapping labels through ``item_ids_for`` on every call."""
+
+    @classmethod
+    def of(cls, meta: MetaLearner) -> "PerCallStream":
+        return cls(meta.rulebased.ruleset, meta.statistical, meta.prediction_window, meta.name)
+
+    def item_ids(self, store: EventStore) -> np.ndarray:
+        return item_ids_for(store, self._item_index, self._unseen)
+
+
+class PerChunkPool:
+    """The serving path without compiled tables: every chunk is partitioned
+    by ``shard_ids`` into ``select`` copies (one shard included) and every
+    shard maps its labels through ``item_ids_for``."""
+
+    def __init__(self, meta: MetaLearner, shards: int, key: str) -> None:
+        self.meta, self.shards, self.key = meta, shards, key
+        self.sessions: dict[int, OnlineSession] = {}
+
+    def _session(self, shard: int) -> OnlineSession:
+        session = self.sessions.get(shard)
+        if session is None:
+            session = self.sessions[shard] = OnlineSession(self.meta)
+            session._stream = PerCallStream.of(self.meta)
+        return session
+
+    def partition(self, store: EventStore) -> list[tuple[int, EventStore]]:
+        assignment = shard_ids(store, self.key, self.shards)
+        parts = [(s, np.flatnonzero(assignment == s)) for s in range(self.shards)]
+        return [(s, store.select(idx)) for s, idx in parts if len(idx)]
+
+    def process_store(self, store: EventStore) -> list[FailureWarning]:
+        return [
+            w
+            for shard, part in self.partition(store)
+            for w in self._session(shard).process_store(part)
+        ]
+
+    def swap_model(self, meta: MetaLearner) -> None:
+        self.meta = meta
+        for session in self.sessions.values():
+            session.swap_model(meta)
+            session._stream = PerCallStream.of(meta)
+
+    def finish(self) -> SessionStats:
+        combined = SessionStats()
+        for shard in sorted(self.sessions):
+            combined.merge(self.sessions[shard].finish())
+        return combined
+
+
+class RowByRowEngine(ActionEngine):
+    """``ActionEngine`` absorbing each row through ``view.observe(t, location,
+    job)``, deciding and expiring at every row, with no per-table map."""
+
+    def observe_store(self, store: EventStore, warnings: list[FailureWarning]) -> None:
+        self._pending.extend(warnings)
+        for t, loc_id, job, fatal in zip(
+            store.times.tolist(),
+            store.location_ids.tolist(),
+            store.jobs.tolist(),
+            store.fatal_mask().tolist(),
+        ):
+            self._decide_before(t)
+            self._expire_before(t)
+            location = store.location_table[loc_id]
+            self.view.observe(t, location, job)
+            if fatal:
+                self._on_fatal(t, self.view.midplane_index(location))
+
+
+class ScanJobView:
+    """Stream-inferred job view that scans every job record per query."""
+
+    def __init__(self, ttl_seconds: float, nodes_per_midplane: int = 512) -> None:
+        self.ttl = ttl_seconds
+        self.nodes = nodes_per_midplane
+        self.mp_index: dict[str, int] = {}
+        self.jobs: dict[int, tuple[float, float, set[int]]] = {}
+
+    def midplane_index(self, location: str) -> int:
+        if not location:
+            return -1
+        return self.mp_index.setdefault(midplane_of(location), len(self.mp_index))
+
+    def observe(self, time: float, location: str, job_id: int) -> None:
+        mp = self.midplane_index(location)
+        if job_id < 0:
+            return
+        first, last, mps = self.jobs.get(job_id, (time, time, set()))
+        self.jobs[job_id] = (first, max(last, time), mps | ({mp} if mp >= 0 else set()))
+
+    def forget(self, job_id: int) -> None:
+        self.jobs.pop(job_id, None)
+
+    def running(self, now: float) -> list[RunningJob]:
+        return [
+            RunningJob(job_id, int(first), tuple(sorted(mps)), self.nodes * max(len(mps), 1))
+            for job_id, (first, last, mps) in sorted(self.jobs.items())
+            if first <= now <= last + self.ttl
+        ]
+
+    def occupant(self, midplane: int, now: float) -> Optional[RunningJob]:
+        on = [job for job in self.running(now) if midplane in job.midplanes]
+        return on[0] if on else None
 
 
 class LegacyDequeResolver:

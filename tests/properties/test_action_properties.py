@@ -1,12 +1,15 @@
 """Property tests for the action engine's determinism contracts.
 
-Two properties the subsystem documents and the benchmarks lean on:
+Three properties the subsystem documents and the benchmarks lean on:
 
 1. the engine is a deterministic fold — the same events and warnings give a
    byte-identical ledger digest, whether replayed twice or fed in chunks at
    any split point (the serve-replay vs daemon bit-identity gate);
 2. the cost-aware composite never schedules an action whose expected value
-   is not strictly positive.
+   is not strictly positive;
+3. the stream job view's midplane index of live jobs answers every query
+   as a scan of every job record would, job ids recurring after their TTL
+   included.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,7 @@ from repro.ras.fields import Severity
 from repro.ras.store import EventStore
 from repro.util.rng import as_generator
 from tests.conftest import make_event
+from tests.oracles import ScanJobView
 
 LOCATIONS = (
     "R00-M0-N00-C00",
@@ -141,3 +145,47 @@ def test_cost_aware_never_schedules_negative_expected_value(ctx):
         for a in decided
     ]
     assert len(scopes) == len(set(scopes))
+
+
+#: Job liveness window of the job-view property: short against the time
+#: steps, so job ids recur after their TTL.
+TTL = 300
+
+
+@st.composite
+def view_scripts(draw):
+    """Observations at a mostly advancing clock, queries and kills."""
+    ops, clock = [], 0
+    for _ in range(draw(st.integers(min_value=1, max_value=60))):
+        op = draw(st.sampled_from(("observe", "observe", "observe", "query", "forget")))
+        if op == "observe":
+            clock += draw(st.integers(min_value=-20, max_value=2 * TTL))
+            ops.append((op, clock, draw(st.sampled_from(LOCATIONS + ("", "SYSTEM"))),
+                        draw(st.integers(min_value=-1, max_value=5))))
+        elif op == "query":
+            # Mostly at the clock, as the engine asks; sometimes before the
+            # last sweep or past every TTL.
+            ops.append((op, clock + draw(st.sampled_from((0, 0, 0, -TTL, -3 * TTL, 3 * TTL)))))
+        else:
+            ops.append((op, draw(st.integers(min_value=0, max_value=5))))
+    return ops
+
+
+@given(view_scripts())
+@settings(max_examples=200, deadline=None)
+def test_stream_view_queries_equal_full_scan(ops):
+    """The midplane-indexed live jobs answer as a scan of every record."""
+    view, scan = StreamJobView(ttl_seconds=TTL), ScanJobView(ttl_seconds=TTL)
+    for op, *args in ops:
+        if op == "observe":
+            view.observe(*args)
+            scan.observe(*args)
+        elif op == "forget":
+            view.forget(*args)
+            scan.forget(*args)
+        else:
+            (now,) = args
+            assert view.running(now) == scan.running(now)
+            for mp in range(-1, len(scan.mp_index) + 1):
+                assert view.occupant(mp, now) == scan.occupant(mp, now)
+    assert view.n_midplanes() == max(len(scan.mp_index), 1)

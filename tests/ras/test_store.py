@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.cache.fingerprint import store_fingerprint
+from repro.ras.backend import InternTable
 from repro.ras.events import RasEvent
 from repro.ras.fields import Facility, Severity
-from repro.ras.store import UNCLASSIFIED, EventStore
+from repro.ras.store import UNCLASSIFIED, EventBatch, EventStore
+from repro.util.rng import as_generator
 from tests.conftest import make_event
 
 
@@ -114,6 +117,57 @@ def test_concat_preserves_subcategories():
     merged = a.concat(b)
     assert merged.subcat_of(0) == "timerInterruptInfo"
     assert merged.subcat_of(1) == "dmaError"
+
+
+def _reinterned_concat(a: EventStore, b: EventStore) -> EventStore:
+    """The merge that re-interns every string of ``b``'s tables (the oracle)."""
+    tables, ids = [], []
+    for table, column in (("locations", "location_ids"), ("entries", "entry_ids"),
+                          ("subcats", "subcat_ids")):
+        merged = InternTable(a.table(table).strings)
+        remap = np.array([merged.intern(s) for s in b.table(table).strings] or [0],
+                         dtype=np.int32)
+        b_ids = b.column(column)
+        b_ids = np.array([i if i == UNCLASSIFIED else remap[i] for i in b_ids.tolist()],
+                         dtype=np.int32)
+        tables.append(merged)
+        ids.append(np.concatenate([a.column(column), b_ids]))
+    return EventStore(
+        *(np.concatenate([a.column(c), b.column(c)])
+          for c in ("times", "severities", "facilities", "jobs")),
+        *ids,
+        *tables,
+    ).sorted_by_time()
+
+
+def _assert_same_concat(a: EventStore, b: EventStore) -> EventStore:
+    merged = a.concat(b)
+    assert store_fingerprint(merged) == store_fingerprint(_reinterned_concat(a, b))
+    return merged
+
+
+def test_concat_equals_reinterning_merge(anl_events):
+    """A sliding window of select() chunks, fresh stores and a grown table."""
+    # A private copy: the test grows its tables.
+    served = EventStore.from_batch(EventBatch.from_events(anl_events.to_events()))
+    rng = as_generator(5)
+    cuts = np.sort(rng.choice(np.arange(1, len(served)), size=12, replace=False))
+    window = served.select(slice(0, int(cuts[0])))
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        chunk = served.select(slice(lo, hi))  # shares the served store's tables
+        window = _assert_same_concat(window, chunk)
+        fresh = EventStore.from_batch(EventBatch.from_events(chunk.to_events()))
+        _assert_same_concat(window, fresh)
+        _assert_same_concat(fresh, window)
+    # The served tables grow after the window copied them: the window's
+    # table is now a strict prefix of a chunk's.
+    for table in ("locations", "entries", "subcats"):
+        served.table(table).intern(f"grown-{table}")
+    grown = served.select(slice(int(cuts[-1]), len(served)))
+    merged = _assert_same_concat(window, grown)
+    assert merged.subcat_table[-1] == "grown-subcats"
+    _assert_same_concat(window, EventStore.empty())
+    _assert_same_concat(EventStore.empty(), grown)
 
 
 def test_with_subcat_ids_validates_shape(tiny_store):
