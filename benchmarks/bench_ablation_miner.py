@@ -1,9 +1,10 @@
 """Ablation — Apriori vs the mining engine's one-shot fill.
 
 The paper mines with Apriori and cites FP-growth [15] as an alternative.
-The repo mines with one engine: FP-growth's conditional-tree recursion over
-a canonical prefix tree, which a one-shot fit fills from empty.  Apriori is
-kept as the test oracle (``tests/oracles.py``).  This bench checks that both
+The repo mines with one engine: a NumPy tid-list kernel that grows every
+itemset from its largest item one level at a time, which a one-shot fit
+fills from empty.  Apriori is kept as the test oracle
+(``tests/oracles.py``).  This bench checks that both
 mine identical itemsets on the real workload and compares their cost as the
 support threshold drops, where Apriori's candidate generation blows up.
 """

@@ -58,7 +58,20 @@ SNAPSHOT_VERSION = 1
 #: Minimum hex chars accepted for abbreviated snapshot-id resolution.
 MIN_PREFIX = 6
 
+#: Length of a full snapshot id (a SHA-256 hex digest).
+ID_LENGTH = 64
+
 _HEX = set("0123456789abcdef")
+
+
+def _dumps(doc: Any) -> str:
+    """The compact sorted-key JSON every snapshot is written in."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _stat_key(st: os.stat_result) -> tuple[int, int, int]:
+    """What identifies one version of a snapshot file (see _manifest)."""
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 class RegistryError(ValueError):
@@ -200,7 +213,7 @@ class ModelRegistry:
         except (OSError, RegistryError):
             self._manifests.pop(snapshot_id, None)
             return None
-        key = (st.st_ino, st.st_size, st.st_mtime_ns)
+        key = _stat_key(st)
         cached = self._manifests.get(snapshot_id)
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -261,7 +274,12 @@ class ModelRegistry:
                 )
             return target
         if all(c in _HEX for c in ref) and len(ref) >= MIN_PREFIX:
-            matches = [s for s in self.snapshot_ids() if s.startswith(ref)]
+            if len(ref) == ID_LENGTH:
+                if self._snapshot_path(ref).is_file():
+                    return ref
+                matches = []
+            else:
+                matches = [s for s in self.snapshot_ids() if s.startswith(ref)]
             if len(matches) == 1:
                 return matches[0]
             if len(matches) > 1:
@@ -322,7 +340,7 @@ class ModelRegistry:
         model_doc = model_to_dict(predictor)
         parent_id = self.resolve(parent) if parent else None
         fit_token = spec.fit_token() if spec else None
-        model_json = json.dumps(model_doc, sort_keys=True, separators=(",", ":"))
+        model_json = _dumps(model_doc)
         snapshot_id = combine_tokens(
             model=model_json,
             store=store_fingerprint,
@@ -344,15 +362,27 @@ class ModelRegistry:
                 train_events=train_events,
                 note=note,
             )
-            doc = {
-                "snapshot_version": SNAPSHOT_VERSION,
-                "manifest": snap.manifest(),
-                "model": model_doc,
-            }
+            # The compact sorted-key JSON of {"snapshot_version", "manifest",
+            # "model"}, with the model text serialized once above spliced in
+            # ("manifest" < "model" < "snapshot_version").
+            path = self._snapshot_path(snapshot_id)
+            manifest_json = _dumps(snap.manifest())
             self._atomic_write(
-                self._snapshot_path(snapshot_id),
-                json.dumps(doc, sort_keys=True, separators=(",", ":")),
+                path,
+                f'{{"manifest":{manifest_json},"model":{model_json},'
+                f'"snapshot_version":{SNAPSHOT_VERSION}}}',
             )
+            # Cache the manifest as a read of this file would parse it, so
+            # list() need not read the model document back.
+            try:
+                self._manifests[snapshot_id] = (
+                    _stat_key(os.stat(path)),
+                    _snapshot_from_doc(
+                        snapshot_id, {"manifest": json.loads(manifest_json)}
+                    ),
+                )
+            except OSError:
+                pass
             get_registry().counter("lifecycle.snapshots_saved")
         self._atomic_write(self._ref_path("latest"), snapshot_id + "\n")
         for tag in tags:

@@ -5,13 +5,13 @@ Implemented from scratch (no external ML dependency):
 - :mod:`repro.mining.transactions` — building *event-sets* (the paper's
   transactions): for each fatal event, the set of non-fatal subcategories
   observed in the rule-generation window before it.
-- :mod:`repro.mining.incremental` — the mining engine: a canonical-order
-  prefix tree with per-suffix FP-growth mining.  A one-shot fit
-  (:func:`generate_rules`) fills it from empty; sliding-window retrains add
-  and evict transaction windows and re-mine only the suffix partitions
-  whose counts changed, with bit-identical rule sets.
-- :mod:`repro.mining.fptree` — FP-growth's conditional-tree primitives
-  (Han et al., the paper's [15]), which the engine mines through.
+- :mod:`repro.mining.incremental` — the mining engine: a weighted
+  transaction multiset whose itemsets are partitioned by their largest
+  item and counted by one NumPy tid-list kernel
+  (:func:`mine_partitions`).  A one-shot fit (:func:`generate_rules`)
+  fills it from empty; sliding-window retrains add and evict transaction
+  windows and re-mine only the suffix partitions whose counts changed,
+  with bit-identical rule sets.
 - :mod:`repro.mining.rules` — rule generation (body of non-fatal items, head
   of fatal items), the paper's per-body rule *combination*, confidence
   sorting, and the matcher used at prediction time.
@@ -22,12 +22,12 @@ the engine is checked against, in ``tests/oracles.py``.
 
 from repro.mining.counts import min_count_for
 from repro.mining.incremental import (
-    CanonicalTree,
     IncrementalMiner,
     IncrementalRuleMiner,
     generate_rules,
+    mine_partitions,
 )
-from repro.mining.rules import Rule, RuleSet, rules_from_itemsets
+from repro.mining.rules import Rule, RuleSet, rule_candidates, rules_from_itemsets
 from repro.mining.transactions import (
     EventSetDB,
     build_event_sets,
@@ -36,12 +36,13 @@ from repro.mining.transactions import (
 
 __all__ = [
     "min_count_for",
-    "CanonicalTree",
     "IncrementalMiner",
     "IncrementalRuleMiner",
+    "mine_partitions",
     "Rule",
     "RuleSet",
     "generate_rules",
+    "rule_candidates",
     "rules_from_itemsets",
     "EventSetDB",
     "build_event_sets",

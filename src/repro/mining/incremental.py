@@ -6,176 +6,218 @@ fit in the system mines through one code path.  Lifecycle retrains slide a
 transaction window forward: each retrain adds the new chunk's transactions
 and evicts the expired ones, while the bulk of the window is unchanged.  The
 maintained miner keeps the mining state across retrains and re-pays only for
-what changed — the CanTree/LogMaster idea (PAPERS.md) of keeping
-event-correlation state alive as logs arrive.  The paper's cited Apriori
-lives in ``tests/oracles.py`` as the independent check on this engine.
+what changed — the LogMaster idea (PAPERS.md) of keeping event-correlation
+state alive as logs arrive.  The paper's cited Apriori lives in
+``tests/oracles.py`` as the independent check on this engine.
 
 Structure
 ---------
-:class:`CanonicalTree`
-    A prefix tree over transactions stored in *canonical* (ascending item-id)
-    order.  Unlike a frequency-ordered FP-tree, the insertion path of a
-    transaction never depends on global counts, so weighted insert/remove of
-    arbitrary transactions keeps the tree exactly equal to one built from
-    scratch on the surviving multiset.
+:func:`mine_partitions`
+    The counting kernel: mines the itemset partitions of a batch of suffix
+    items at once, level by level over NumPy tid-lists of the weighted
+    distinct transactions.
 :class:`IncrementalMiner`
-    The itemset-count half: a transaction multiset + canonical tree +
-    per-suffix mined-itemset cache with dirty-item tracking.  ``itemsets()``
-    re-mines only suffix items whose supporting transactions changed, through
-    FP-growth's conditional-tree primitives (:mod:`repro.mining.fptree`).
+    The itemset-count half: a transaction multiset + per-suffix mined-itemset
+    cache with dirty-item tracking + the merged itemset table.
+    ``itemsets()`` re-mines only suffix items whose supporting transactions
+    changed, all of them in one kernel call.
 :class:`IncrementalRuleMiner`
     The rule half: syncs against an :class:`EventSetDB` by multiset diff,
-    feeds the maintained itemset table through
-    :func:`repro.mining.rules.rules_from_itemsets` with a memoizing body
-    counter, and snapshots/restores through plain dicts for the codec
-    registry.
+    keeps Step-2 rule candidates per partition, feeds them through
+    :func:`repro.mining.rules.rules_from_itemsets` with a body counter that
+    memoizes the scans of multi-head bodies, and snapshots/restores through
+    plain dicts for the codec registry.
 
 Soundness (why delta-mining is exact)
 -------------------------------------
-Frequent itemsets are partitioned by their *maximum* item: mining item ``i``
-over the conditional pattern base of items ``< i`` yields exactly the
-frequent itemsets whose max item is ``i`` (this is FP-growth's recursion
-evaluated in ascending header order over the canonical tree).  A transaction
-add/evict marks all its items *dirty*; an itemset's count can only change if
-**every** one of its items occurred in some changed transaction, so any
-suffix item that stayed clean proves every itemset in its partition kept its
-count — its cached partition is reused verbatim when the absolute support
-threshold did not drop (if the threshold *rose*, the cache is filtered by
-count, which is exact because counts are exact).  A threshold drop can make
-previously-infrequent itemsets frequent without touching any transaction, so
-it forces a re-mine of every suffix; that is the one case where incremental
-work degenerates to from-scratch cost (see docs/incremental_mining.md).
+Frequent itemsets are partitioned by their *maximum* item: the kernel grows
+every itemset from its maximum item by adding ever smaller items, so the
+partition of suffix item ``i`` holds exactly the frequent itemsets whose max
+item is ``i``.  A transaction add/evict marks all its items *dirty*; an
+itemset's count can only change if **every** one of its items occurred in
+some changed transaction, so any suffix item that stayed clean proves every
+itemset in its partition kept its count — its cached partition is reused
+verbatim when the absolute support threshold did not drop (if the threshold
+*rose*, the cache is filtered by count, which is exact because counts are
+exact).  A threshold drop can make previously-infrequent itemsets frequent
+without touching any transaction, so it forces a re-mine of every suffix;
+that is the one case where incremental work degenerates to from-scratch cost
+(see docs/incremental_mining.md).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.mining.counts import min_count_for
-from repro.mining.fptree import build_conditional_tree, mine_conditional
-from repro.mining.rules import RuleSet, rules_from_itemsets
+from repro.mining.rules import (
+    Candidate,
+    RuleSet,
+    rule_candidates,
+    rules_from_itemsets,
+)
 from repro.mining.transactions import EventSetDB
 from repro.obs import get_registry
 from repro.util.validation import check_fraction
 
-
-class _CanNode:
-    """One canonical-order prefix-tree node."""
-
-    __slots__ = ("item", "count", "parent", "children")
-
-    def __init__(self, item: Optional[int], parent: Optional["_CanNode"]) -> None:
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict[int, _CanNode] = {}
+#: About how many ``(prefix, row, item)`` triples one kernel block expands;
+#: a level with more is counted in several blocks of whole prefixes.
+BLOCK_TRIPLES = 1 << 20
 
 
-class CanonicalTree:
-    """Weighted prefix tree in canonical (ascending item-id) order.
+def mine_partitions(
+    weighted: Mapping[frozenset[int], int],
+    suffixes: Iterable[int],
+    min_count: int,
+    max_len: int,
+) -> dict[int, dict[frozenset[int], int]]:
+    """Frequent itemsets of ``weighted`` whose maximum item is a suffix item.
 
-    Because the path of a transaction is a pure function of the transaction
-    itself, ``add(t, w)`` followed by ``remove(t, w)`` restores the tree
-    bit-for-bit, and the tree after any add/remove sequence equals the tree
-    built from scratch on the resulting multiset — the property a
-    frequency-ordered FP-tree lacks (its item order shifts with counts,
-    which is why CanTree-style canonical order is the standard choice for
-    incremental mining).
+    ``weighted`` maps each distinct transaction to its multiplicity.  The
+    result maps every item of ``suffixes`` to its partition: the itemsets of
+    at most ``max_len`` items, with ``count >= min_count``, whose largest
+    item it is, with their exact weighted counts (empty if the item is
+    infrequent).  Mining every item at once gives all frequent itemsets.
+
+    Only rows holding a suffix item and items frequent within those rows
+    can take part, so the kernel works on that restriction, as a CSR of
+    ascending item ids.  Level ``k`` holds the frequent ``k``-itemsets as
+    *prefixes* with their tid-lists, stored as ``(prefix, row, end)`` pairs
+    where ``end`` is the CSR position of the prefix's smallest item in that
+    row.  Extending a prefix by each smaller item of each of its rows gives
+    ``(prefix, row, item)`` triples; sorting their ``prefix * n_items +
+    item`` keys groups equal pairs, and an int64 ``add.reduceat`` of the row
+    weights counts them exactly.  The frequent triples are the next level's
+    pairs.  Each itemset is reached once, along its items in descending
+    order, so it lands in its maximum item's partition.
     """
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    wanted = frozenset(suffixes)
+    out: dict[int, dict[frozenset[int], int]] = {s: {} for s in wanted}
+    rows = [t for t in weighted if not wanted.isdisjoint(t)]
+    if not rows:
+        return out
+    weights = np.fromiter(map(weighted.__getitem__, rows), np.int64, len(rows))
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    items = np.fromiter(chain.from_iterable(rows), np.int64, int(lengths.sum()))
+    n_items = int(items.max()) + 1
+    # CSR in ascending item order within each row: sort (row, item) keys.
+    cell = np.repeat(np.arange(len(rows)), lengths) * n_items + items
+    cell.sort()
+    row_of, items = np.divmod(cell, n_items)
+    counts = np.zeros(n_items, np.int64)
+    np.add.at(counts, items, weights[row_of])
+    keep = counts[items] >= min_count
+    items, row_of = items[keep], row_of[keep]
+    row_start = np.searchsorted(row_of, np.arange(len(rows)))
 
-    def __init__(self) -> None:
-        self.root = _CanNode(None, None)
-        # item -> set of nodes carrying it (dict used as an ordered set).
-        self._nodes: dict[int, dict[_CanNode, None]] = defaultdict(dict)
-
-    def add(self, items: Sequence[int], count: int) -> None:
-        """Insert a canonical-sorted transaction with multiplicity ``count``."""
-        node = self.root
-        for item in items:
-            child = node.children.get(item)
-            if child is None:
-                child = _CanNode(item, node)
-                node.children[item] = child
-                self._nodes[item][child] = None
-            child.count += count
-            node = child
-
-    def remove(self, items: Sequence[int], count: int) -> None:
-        """Remove multiplicity ``count`` of a previously-added transaction.
-
-        Nodes whose count reaches zero are pruned.  Counts are monotone down
-        a path (parent.count >= child.count), so a zero-count node has only
-        zero-count descendants and unlinking it drops them all.
-        """
-        node = self.root
-        path: list[_CanNode] = []
-        for item in items:
-            child = node.children.get(item)
-            if child is None or child.count < count:
-                raise ValueError(
-                    f"cannot remove {count} x {list(items)}: not present"
-                )
-            path.append(child)
-            node = child
-        for child in reversed(path):
-            child.count -= count
-            if child.count == 0:
-                parent = child.parent
-                assert parent is not None
-                del parent.children[child.item]  # type: ignore[arg-type]
-                del self._nodes[child.item][child]
-                for orphan_item, orphan in _iter_subtree(child):
-                    self._nodes[orphan_item].pop(orphan, None)
-
-    def paths(self, item: int) -> list[tuple[list[int], int]]:
-        """Conditional pattern base of ``item``: (prefix-path, count) pairs.
-
-        Prefix paths contain only items ``< item`` (canonical order), which
-        is exactly the conditional DB for the max-item-``item`` partition.
-        """
-        out: list[tuple[list[int], int]] = []
-        for node in self._nodes.get(item, ()):
-            if node.count == 0:
-                continue
-            path: list[int] = []
-            p = node.parent
-            while p is not None and p.item is not None:
-                path.append(p.item)
-                p = p.parent
-            path.reverse()
-            out.append((path, node.count))
+    # Level 1: the frequent suffix items, one prefix each.  ``sets`` holds
+    # each prefix's itemset and ``parts`` the partition it belongs to.
+    sets: list[frozenset[int]] = []
+    parts: list[dict[frozenset[int], int]] = []
+    prefix_of_item = np.full(n_items, -1, np.int64)
+    for s in sorted(wanted):
+        if s < n_items and counts[s] >= min_count:
+            prefix_of_item[s] = len(sets)
+            sets.append(frozenset((s,)))
+            parts.append(out[s])
+            out[s][sets[-1]] = int(counts[s])
+    ends = np.flatnonzero(prefix_of_item[items] >= 0)
+    prefix = prefix_of_item[items[ends]]
+    order = np.argsort(prefix, kind="stable")
+    prefix, row, ends = prefix[order], row_of[ends[order]], ends[order]
+    if not len(prefix):
         return out
 
-
-def _iter_subtree(node: _CanNode) -> Iterable[tuple[int, _CanNode]]:
-    """All (item, node) pairs strictly below ``node``."""
-    stack = list(node.children.values())
-    while stack:
-        n = stack.pop()
-        assert n.item is not None
-        yield n.item, n
-        stack.extend(n.children.values())
+    for level in range(2, max_len + 1):
+        width = ends - row_start[row]
+        cum = np.cumsum(width)
+        # Triple j of the level belongs to the pair k with cum[k - 1] <= j <
+        # cum[k] and adds the item at CSR position ends[k] - cum[k] + j.
+        shift = ends - cum
+        bounds = [0, len(prefix)]
+        if cum[-1] > BLOCK_TRIPLES:
+            # Blocks start only where a prefix does, so no count is split.
+            first = np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]])
+            block = (cum[first] - width[first]) // BLOCK_TRIPLES
+            bounds[1:1] = first[np.flatnonzero(np.diff(block)) + 1].tolist()
+        new_sets: list[frozenset[int]] = []
+        new_parts: list[dict[frozenset[int], int]] = []
+        next_pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            w = width[lo:hi]
+            base = int(cum[lo - 1]) if lo else 0
+            total = int(cum[hi - 1]) - base
+            if not total:
+                continue
+            # The (prefix, row, item) triples: each pair with every item
+            # before its prefix's smallest one in the row.
+            t_row = np.repeat(row[lo:hi], w)
+            pos = np.repeat(shift[lo:hi], w) + np.arange(base, base + total)
+            key = np.repeat(prefix[lo:hi], w) * n_items + items[pos]
+            order = np.argsort(key)
+            key, t_row, pos = key[order], t_row[order], pos[order]
+            starts = np.empty(total, bool)
+            starts[0] = True
+            np.not_equal(key[1:], key[:-1], out=starts[1:])
+            head = np.flatnonzero(starts)
+            sums = np.add.reduceat(weights[t_row], head)
+            frequent = sums >= min_count
+            if not frequent.any():
+                continue
+            parents, added = np.divmod(key[head[frequent]], n_items)
+            parents = parents.tolist()
+            block_sets = [
+                sets[p].union((i,)) for p, i in zip(parents, added.tolist())
+            ]
+            block_parts = [parts[p] for p in parents]
+            for part, itemset, c in zip(
+                block_parts, block_sets, sums[frequent].tolist()
+            ):
+                part[itemset] = c
+            if level < max_len:
+                size = np.diff(np.append(head, total))
+                hit = np.repeat(frequent, size)
+                new_id = np.repeat(
+                    np.arange(len(new_sets), len(new_sets) + len(block_sets)),
+                    size[frequent],
+                )
+                next_pairs.append((new_id, t_row[hit], pos[hit]))
+            new_sets += block_sets
+            new_parts += block_parts
+        if not next_pairs:
+            break
+        sets, parts = new_sets, new_parts
+        prefix, row, ends = (np.concatenate(a) for a in zip(*next_pairs))
+    return out
 
 
 class IncrementalMiner:
     """Maintained itemset counts over a sliding transaction multiset.
 
-    ``add(transactions)`` / ``evict(transactions)`` update the canonical
-    tree, item counts, and the dirty-item set in O(size of the delta);
+    ``add(transactions)`` / ``evict(transactions)`` update the multiset,
+    item counts, and the dirty-item set in O(size of the delta);
     ``itemsets(min_support, max_len)`` then returns the exact frequent
     itemsets of the current multiset, re-mining only the suffix partitions
     whose counts could have changed.
     """
 
     def __init__(self) -> None:
-        self._tree = CanonicalTree()
         self._trans: Counter[frozenset[int]] = Counter()
         self._item_counts: Counter[int] = Counter()
         self._n = 0
         self._dirty: set[int] = set()
         # suffix item -> (min_count it was mined at, its itemset partition).
         self._suffix_cache: dict[int, tuple[int, dict[frozenset[int], int]]] = {}
+        # The union of the cached partitions, maintained per partition.
+        self._table: dict[frozenset[int], int] = {}
         self._last_max_len: Optional[int] = None
         #: Bumped on every state change; lets dependents (rule cache, the
         #: evaluation-layer fitter) detect staleness cheaply.
@@ -213,22 +255,15 @@ class IncrementalMiner:
                     raise ValueError(
                         f"evicting {w} x {sorted(t)} but only {have} present"
                     )
+        trans, item_counts = self._trans, self._item_counts
         for t, w in delta.items():
-            items = sorted(t)
-            if sign > 0:
-                self._tree.add(items, w)
-                self._trans[t] += w
-            else:
-                self._tree.remove(items, w)
-                have = self._trans[t]
-                if have == w:
-                    del self._trans[t]
-                else:
-                    self._trans[t] = have - w
+            trans[t] += sign * w
+            if not trans[t]:
+                del trans[t]
             for item in t:
-                self._item_counts[item] += sign * w
-                if self._item_counts[item] == 0:
-                    del self._item_counts[item]
+                item_counts[item] += sign * w
+                if not item_counts[item]:
+                    del item_counts[item]
             self._dirty.update(t)
         self._n += sign * n_delta
         self.version += 1
@@ -248,71 +283,54 @@ class IncrementalMiner:
 
         Suffix partitions untouched by the delta (and mined at a threshold
         no higher than now needed) are reused from cache; the rest are
-        re-mined from the canonical tree via FP-growth's conditional-tree
-        primitives.
+        re-mined together in one :func:`mine_partitions` call.
         """
         check_fraction(min_support, "min_support")
+        return dict(self._refresh(min_support, max_len))
+
+    def _refresh(
+        self, min_support: float, max_len: int
+    ) -> dict[frozenset[int], int]:
+        """Bring the partitions and the merged table up to date.
+
+        Returns the merged table itself (live; do not mutate).  Only the
+        entries of re-mined, filtered or vanished partitions are replaced.
+        """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
-        obs = get_registry()
-        if self._n == 0:
-            self._suffix_cache.clear()
-            self._dirty.clear()
-            return {}
-        min_count = min_count_for(min_support, self._n)
+        cache, table = self._suffix_cache, self._table
         if max_len != self._last_max_len:
-            self._suffix_cache.clear()
+            cache.clear()
+            table.clear()
             self._last_max_len = max_len
-
-        reused = 0
-        mined = 0
-        fresh: dict[int, tuple[int, dict[frozenset[int], int]]] = {}
-        out: dict[frozenset[int], int] = {}
-        for item in sorted(self._item_counts):
-            cached = self._suffix_cache.get(item)
-            if (
-                cached is not None
-                and item not in self._dirty
-                and min_count >= cached[0]
-            ):
+        min_count = min_count_for(min_support, self._n)
+        for item in [i for i in cache if i not in self._item_counts]:
+            for s in cache.pop(item)[1]:
+                del table[s]
+        stale: list[int] = []
+        for item in self._item_counts:
+            cached = cache.get(item)
+            if cached is None or item in self._dirty or min_count < cached[0]:
+                stale.append(item)
+            elif min_count != cached[0]:
                 # Clean suffix: every itemset in the partition kept its
-                # exact count; a raised threshold only filters.
-                mined_at, sets = cached
-                if min_count == mined_at:
-                    part = sets
-                else:
-                    part = {s: c for s, c in sets.items() if c >= min_count}
-                reused += 1
-            else:
-                part = self._mine_suffix(item, min_count, max_len)
-                mined += 1
-            fresh[item] = (min_count, part)
-            out.update(part)
-        self._suffix_cache = fresh
+                # exact count, so a raised threshold only filters.
+                kept = {s: c for s, c in cached[1].items() if c >= min_count}
+                for s in cached[1].keys() - kept.keys():
+                    del table[s]
+                cache[item] = (min_count, kept)
+        for item, part in mine_partitions(
+            self._trans, stale, min_count, max_len
+        ).items():
+            for s in cache.get(item, (0, ()))[1]:
+                del table[s]
+            cache[item] = (min_count, part)
+            table.update(part)
         self._dirty.clear()
-        obs.counter("mining.incremental.suffix_reused", reused)
-        obs.counter("mining.incremental.suffix_mined", mined)
-        return out
-
-    def _mine_suffix(
-        self, item: int, min_count: int, max_len: int
-    ) -> dict[frozenset[int], int]:
-        """Mine the max-item-``item`` partition from its pattern base."""
-        out: dict[frozenset[int], int] = {}
-        if self._item_counts.get(item, 0) < min_count:
-            return out
-        out[frozenset({item})] = self._item_counts[item]
-        if max_len < 2:
-            return out
-        base = self._tree.paths(item)
-        if not base:
-            return out
-        tree, frequent = build_conditional_tree(base, min_count)
-        if frequent:
-            mine_conditional(
-                tree, frequent, frozenset({item}), min_count, max_len, out
-            )
-        return out
+        obs = get_registry()
+        obs.counter("mining.incremental.suffix_reused", len(cache) - len(stale))
+        obs.counter("mining.incremental.suffix_mined", len(stale))
+        return table
 
 
 class IncrementalRuleMiner:
@@ -321,8 +339,9 @@ class IncrementalRuleMiner:
     ``sync(db)`` diffs the database's transaction multiset against the
     maintained one and applies only the delta; ``rules()`` then produces a
     :class:`RuleSet` bit-identical to a one-shot ``generate_rules(db, ...)``
-    with the same parameters.  Body-count scans for Step-3 combined confidence are
-    memoized and invalidated per dirty item.
+    with the same parameters.  Step-2 rule candidates are kept per suffix
+    partition while its partition is reused.  Step-3 scans of multi-head
+    bodies are memoized and invalidated per dirty item.
     """
 
     def __init__(
@@ -349,6 +368,16 @@ class IncrementalRuleMiner:
         self._body_cache: dict[
             tuple[frozenset[int], frozenset[int]], tuple[int, int]
         ] = {}
+        # suffix item -> (the partition dict, its Step-2 candidates); an
+        # entry is valid while the miner still holds that very dict.
+        self._candidates: dict[
+            int, tuple[dict[frozenset[int], int], list[Candidate]]
+        ] = {}
+        # The last synced window's (bodies, heads) and the miner version it
+        # left; the next sync diffs against it while that version holds.
+        self._window: Optional[
+            tuple[list[frozenset[int]], list[frozenset[int]], int]
+        ] = None
         self._ruleset: Optional[RuleSet] = None
         self._ruleset_version = -1
 
@@ -372,17 +401,25 @@ class IncrementalRuleMiner:
             # The rule set carries the label table: a grown table or new
             # fatal set changes it even when no transaction does.
             self._ruleset = None
+            self._candidates = {}
         self.item_names = list(db.item_names)
         self.fatal_items = db.fatal_items
-        target: Counter[frozenset[int]] = Counter(db.transactions())
-        current = self.miner.transaction_counts()
+        window = (list(db.bodies), list(db.heads))
+        last = self._window
+        if last is not None and last[2] == self.miner.version:
+            # The miner holds exactly the last synced window.
+            gone, came = _unshared(last[:2], window)
+        else:
+            gone = self.miner.transaction_counts()
+            came = Counter(map(frozenset.union, *window))
         # Counter subtraction keeps positive differences only.
-        to_evict = current - target
-        to_add = target - current
+        to_add, to_evict = came - gone, gone - came
         self._touch(to_evict)
         self._touch(to_add)
         n_evicted = self.miner._apply(to_evict, -1)
-        return self.miner._apply(to_add, +1), n_evicted
+        n_added = self.miner._apply(to_add, +1)
+        self._window = (*window, self.miner.version)
+        return n_added, n_evicted
 
     def add_window(self, transactions: Iterable[frozenset[int]]) -> int:
         """Add transactions directly (callers managing their own windows)."""
@@ -401,6 +438,8 @@ class IncrementalRuleMiner:
         self.miner = IncrementalMiner()
         self._rule_dirty.clear()
         self._body_cache.clear()
+        self._candidates.clear()
+        self._window = None
         self._ruleset = None
         self._ruleset_version = -1
 
@@ -433,11 +472,12 @@ class IncrementalRuleMiner:
                 k: v for k, v in self._body_cache.items() if not (k[0] & dirty)
             }
             self._rule_dirty = set()
-        freq = self.miner.itemsets(self.min_support, self.max_len)
+        freq = self.miner._refresh(self.min_support, self.max_len)
         get_registry().counter("mining.itemsets_frequent", len(freq))
         ruleset = rules_from_itemsets(
             freq,
             self.miner.n_transactions,
+            candidates=self._rule_candidates(),
             item_names=self.item_names,
             fatal_items=self.fatal_items,
             min_confidence=self.min_confidence,
@@ -448,6 +488,20 @@ class IncrementalRuleMiner:
         self._ruleset = ruleset
         self._ruleset_version = self.miner.version
         return ruleset
+
+    def _rule_candidates(self) -> list[Candidate]:
+        """Step-2 candidates of every partition, reusing each partition's
+        list while the miner reuses that partition."""
+        kept = {}
+        out: list[Candidate] = []
+        for item, (_, part) in self.miner._suffix_cache.items():
+            entry = self._candidates.get(item)
+            if entry is None or entry[0] is not part:
+                entry = (part, rule_candidates(part, self.fatal_items))
+            kept[item] = entry
+            out.extend(entry[1])
+        self._candidates = kept
+        return out
 
     def _count_body(
         self, body: frozenset[int], heads: frozenset[int]
@@ -473,7 +527,7 @@ class IncrementalRuleMiner:
         """JSON-safe snapshot of the maintained window and parameters.
 
         Only the transaction multiset and window metadata are persisted —
-        tree, caches and dirty sets are derived state rebuilt on restore, so
+        partitions, caches and dirty sets are derived state rebuilt on restore, so
         snapshots stay small and content-addressable hashes stay stable
         across cache states.
         """
@@ -512,6 +566,59 @@ class IncrementalRuleMiner:
         ]
         self.add_window(batch)
         return self
+
+
+Window = tuple[list[frozenset[int]], list[frozenset[int]]]
+
+
+def _unshared(old: Window, new: Window) -> tuple[Counter, Counter]:
+    """The transactions of windows ``old`` and ``new`` (``(bodies, heads)``
+    lists) outside one run of transactions the two share in order.
+
+    A sliding window keeps most of its transactions in order, so the run
+    that ends at old's last transaction and reappears in ``new`` is found
+    with a few slice comparisons, and only the transactions around it are
+    counted.  Leaving out any run both windows share keeps their multiset
+    difference exact, so a poor alignment only costs time.
+    """
+    (old_b, old_h), (new_b, new_h) = old, new
+    run = end = 0
+    if old_b:
+        # Anchor: the last occurrence of old's last transaction in new.
+        end = len(new_b)
+        last = (old_b[-1], old_h[-1])
+        while end and (new_b[end - 1], new_h[end - 1]) != last:
+            end -= 1
+    if end:
+        # The longest run ending at the anchor: gallop over how many leading
+        # transactions of the overlap differ, then bisect.
+        span = min(len(old_b), end)
+
+        def matches(skip: int) -> bool:
+            n = span - skip
+            return (
+                old_h[-n:] == new_h[end - n : end]
+                and old_b[-n:] == new_b[end - n : end]
+            )
+
+        bad, skip = -1, 0
+        while not matches(skip):
+            bad, skip = skip, min(2 * skip + 1, span - 1)
+        while skip - bad > 1:
+            mid = (bad + skip) // 2
+            bad, skip = (bad, mid) if matches(mid) else (mid, skip)
+        run = span - skip
+    kept = len(old_b) - run
+    return (
+        Counter(map(frozenset.union, old_b[:kept], old_h[:kept])),
+        Counter(
+            map(
+                frozenset.union,
+                new_b[: end - run] + new_b[end:],
+                new_h[: end - run] + new_h[end:],
+            )
+        ),
+    )
 
 
 def generate_rules(

@@ -39,8 +39,13 @@ from repro.util.validation import check_fraction
 
 #: Counts a rule body against the database: (body_count, hit_count) where
 #: hit_count is the number of body-containing transactions that also contain
-#: at least one head.  The mining engine passes a memoizing counter.
+#: at least one head.  Only bodies with several heads are counted this way;
+#: the mining engine passes a memoizing counter.
 BodyCounter = Callable[[frozenset[int], frozenset[int]], tuple[int, int]]
+
+#: A Step-2 rule candidate: ``(body, head, count)`` of an itemset with
+#: exactly one fatal item.
+Candidate = tuple[frozenset[int], frozenset[int], int]
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,22 @@ def _rule_sort_key(r: Rule) -> tuple:
     )
 
 
+def rule_candidates(
+    itemsets: Mapping[frozenset[int], int], fatal_items: frozenset[int]
+) -> list[Candidate]:
+    """The Step-2 candidates among ``itemsets`` (non-empty bodies only)."""
+    return [
+        (itemset - head, head, count)
+        for itemset, count in itemsets.items()
+        if len(itemset) > 1 and len(head := itemset & fatal_items) == 1
+    ]
+
+
 def rules_from_itemsets(
-    freq: dict[frozenset[int], int],
+    freq: Mapping[frozenset[int], int],
     n_transactions: int,
     *,
+    candidates: Iterable[Candidate],
     item_names: Sequence[str],
     fatal_items: frozenset[int],
     min_confidence: float = 0.2,
@@ -98,9 +115,11 @@ def rules_from_itemsets(
 
     The rule half of mining: the engine
     (:mod:`repro.mining.incremental`, whose ``generate_rules`` is the
-    one-shot entry point) feeds it a maintained itemset table and a
-    memoizing ``body_counter``.  The result depends only on the itemset
-    table and the counts, never on dict order (see :func:`_rule_sort_key`).
+    one-shot entry point) feeds it a maintained itemset table, the
+    :func:`rule_candidates` of that table and a memoizing
+    ``body_counter``.  The result depends only on the itemset table and
+    the counts, never on dict or candidate order (see
+    :func:`_rule_sort_key`).
     """
     check_fraction(min_confidence, "min_confidence")
     obs = get_registry()
@@ -110,13 +129,7 @@ def rules_from_itemsets(
 
     # Step 2: single-head rules body(non-fatal) -> head(fatal).
     singles: list[Rule] = []
-    for itemset, count in freq.items():
-        heads = itemset & fatal_items
-        if len(heads) != 1:
-            continue
-        body = itemset - heads
-        if not body or body & fatal_items:
-            continue
+    for body, heads, count in candidates:
         body_count = freq.get(body)
         if not body_count:
             continue  # body below support (cannot happen: itemsets are downward closed)
@@ -143,18 +156,24 @@ def rules_from_itemsets(
         )
 
     # Step 3: combine rules sharing a body; recompute confidence as
-    # P(any head | body) over the database.
-    by_body: dict[frozenset[int], set[int]] = defaultdict(set)
+    # P(any head | body) over the database.  A body with one head keeps its
+    # Step-2 rule: freq[body | head] / freq[body] already is that
+    # probability, from exact counts.
+    by_body: dict[frozenset[int], list[Rule]] = defaultdict(list)
     for r in singles:
-        by_body[r.body] |= r.heads
+        by_body[r.body].append(r)
     combined: list[Rule] = []
-    for body, heads in by_body.items():
-        body_count, hit_count = body_counter(body, frozenset(heads))
+    for body, same_body in by_body.items():
+        if len(same_body) == 1:
+            combined.append(same_body[0])
+            continue
+        heads = frozenset().union(*(r.heads for r in same_body))
+        body_count, hit_count = body_counter(body, heads)
         conf = hit_count / body_count if body_count else 0.0
         combined.append(
             Rule(
                 body=body,
-                heads=frozenset(heads),
+                heads=heads,
                 confidence=conf,
                 support=hit_count / n,
                 support_count=hit_count,

@@ -24,6 +24,7 @@ without any failure, which the per-fatal DB cannot see.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -71,11 +72,11 @@ class EventSetDB:
         Only transactions that carry a head (i.e. correspond to a fatal
         event) are counted; tiled failure-free windows are excluded.
         """
-        with_head = [(b, h) for b, h in zip(self.bodies, self.heads) if h]
+        with_head = sum(map(bool, self.heads))
         if not with_head:
             return 0.0
-        empty = sum(1 for b, _h in with_head if not b)
-        return empty / len(with_head)
+        empty = sum(1 for b, h in zip(self.bodies, self.heads) if h and not b)
+        return empty / with_head
 
     def name_of(self, item: int) -> str:
         return self.item_names[item]
@@ -88,13 +89,14 @@ def _require_classified(events: EventStore) -> None:
         )
 
 
-def _fatal_item_ids(events: EventStore) -> frozenset[int]:
+@lru_cache(maxsize=8)
+def _fatal_item_ids(names: tuple[str, ...]) -> frozenset[int]:
+    """Ids of the fatal labels of a label table (every fit of one stream
+    asks about the same few tables)."""
     from repro.taxonomy.classifier import TaxonomyClassifier
 
-    clf = TaxonomyClassifier()
-    return frozenset(
-        i for i, name in enumerate(events.subcat_table) if clf.label_is_fatal(name)
-    )
+    is_fatal = TaxonomyClassifier().label_is_fatal
+    return frozenset(i for i, name in enumerate(names) if is_fatal(name))
 
 
 def build_event_sets(
@@ -111,7 +113,7 @@ def build_event_sets(
     check_positive(rule_window, "rule_window")
     _require_classified(events)
     if fatal_items is None:
-        fatal_items = _fatal_item_ids(events)
+        fatal_items = _fatal_item_ids(tuple(events.subcat_table))
 
     times = events.times
     subcats = events.subcat_ids
@@ -131,7 +133,9 @@ def build_event_sets(
     bodies = [
         frozenset(nonfatal_items[a:b]) for a, b in zip(lo.tolist(), hi.tolist())
     ]
-    heads = [frozenset((item,)) for item in subcats[fatal_positions].tolist()]
+    fatal_ids = subcats[fatal_positions].tolist()
+    singletons = {item: frozenset((item,)) for item in set(fatal_ids)}
+    heads = [singletons[item] for item in fatal_ids]
     return EventSetDB(
         bodies=bodies,
         heads=heads,
@@ -155,7 +159,7 @@ def build_tiled_windows(
     check_positive(window, "window")
     _require_classified(events)
     if fatal_items is None:
-        fatal_items = _fatal_item_ids(events)
+        fatal_items = _fatal_item_ids(tuple(events.subcat_table))
     if len(events) == 0:
         return EventSetDB([], [], list(events.subcat_table), fatal_items)
     t0 = int(events.times[0])

@@ -188,6 +188,21 @@ class MemoryBackend:
         }
         self._tables = tables
 
+    @classmethod
+    def rows_of(cls, backend: "StoreBackend", lo: int, hi: int) -> "MemoryBackend":
+        """Rows ``[lo, hi)`` of another backend as views, sharing its tables.
+
+        The parent's columns already passed the checks in ``__init__`` and
+        are read-only, and so are their slices, so nothing is checked or
+        re-wrapped here.
+        """
+        self = cls.__new__(cls)
+        self._columns = {
+            name: backend.column(name)[lo:hi] for name in COLUMN_NAMES
+        }
+        self._tables = {name: backend.table(name) for name in TABLE_NAMES}
+        return self
+
     def __len__(self) -> int:
         return len(self._columns["times"])
 

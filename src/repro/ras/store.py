@@ -465,17 +465,8 @@ class EventStore:
         touched — this is the primitive ``time_window`` and ``iter_chunks``
         are built on.
         """
-        return EventStore(
-            self.times[lo:hi],
-            self.severities[lo:hi],
-            self.facilities[lo:hi],
-            self.jobs[lo:hi],
-            self.location_ids[lo:hi],
-            self.entry_ids[lo:hi],
-            self.subcat_ids[lo:hi],
-            self._locations,
-            self._entries,
-            self._subcats,
+        return EventStore.from_backend(
+            MemoryBackend.rows_of(self._backend, lo, hi)
         )
 
     def select(self, key: Union[slice, np.ndarray, Sequence[int]]) -> "EventStore":

@@ -296,6 +296,33 @@ def test_saves_by_another_instance_are_listed_and_advance_seq(
     assert [s.note for s in b.list()] == ["a", "b", "c"]
 
 
+def test_save_reads_nothing_back(fitted_predictors, registry, monkeypatch):
+    """save() parses no snapshot file, its own included, and resolves a full
+    parent id without listing the snapshot directory; the manifests it
+    caches are what a fresh instance parses from the files."""
+    first = _save(registry, fitted_predictors, "a")
+
+    def no_read(snapshot_id):
+        raise AssertionError(f"read snapshot {snapshot_id[:12]} back")
+
+    def no_glob():
+        raise AssertionError("listed the snapshots to resolve a full id")
+
+    monkeypatch.setattr(registry, "_read_doc", no_read)
+    second = _save(registry, fitted_predictors, "b", parent=first.snapshot_id)
+    cached = registry.list()
+    assert [s.seq for s in cached] == [1, 2]
+    monkeypatch.setattr(registry, "snapshot_ids", no_glob)
+    assert registry.resolve(second.snapshot_id) == second.snapshot_id
+    monkeypatch.undo()
+    assert cached == ModelRegistry(registry.root).list()
+
+
+def test_full_id_of_a_missing_snapshot_is_unknown(registry):
+    with pytest.raises(RegistryError, match="unknown registry ref"):
+        registry.resolve("ab" * 32)
+
+
 def test_prune_by_another_instance_is_seen(fitted_predictors, pair):
     a, b = pair
     snaps = []

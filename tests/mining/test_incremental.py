@@ -9,8 +9,12 @@ overlapping windows, add and evict the same batch repeatedly, and cross the
 support threshold in both directions.
 """
 
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.pipeline import ThreePhasePredictor
 from repro.core.serialize import (
     SerializationError,
     incremental_miner_from_dict,
@@ -19,13 +23,18 @@ from repro.core.serialize import (
 )
 from repro.mining.counts import min_count_for
 from repro.mining.incremental import (
-    CanonicalTree,
     IncrementalMiner,
     IncrementalRuleMiner,
+    _unshared,
     generate_rules,
 )
-from repro.mining.transactions import EventSetDB
+from repro.mining.transactions import EventSetDB, build_event_sets
+from repro.obs import MetricsRegistry, use
+from repro.ras.store import EventStore
+from repro.synth.generator import LogGenerator
+from repro.synth.profiles import anl_profile
 from repro.util.rng import as_generator
+from repro.util.timeutil import MINUTE
 from tests.oracles import apriori, reference_rules
 
 
@@ -56,37 +65,34 @@ def assert_matches_scratch(miner, min_support, max_len=6):
 
 
 # ---------------------------------------------------------------------- #
-# CanonicalTree
+# IncrementalMiner: multiset maintenance
 # ---------------------------------------------------------------------- #
 
 
 def test_tree_add_remove_roundtrip():
-    tree = CanonicalTree()
-    tree.add([1, 2, 3], 2)
-    tree.add([1, 2], 1)
-    tree.remove([1, 2, 3], 2)
-    tree.remove([1, 2], 1)
-    assert tree.root.children == {}
-    assert tree.paths(1) == []
-
-
-def test_tree_paths_are_conditional_base():
-    tree = CanonicalTree()
-    tree.add([1, 2, 5], 1)
-    tree.add([2, 5], 2)
-    tree.add([5], 1)
-    base = sorted((tuple(p), c) for p, c in tree.paths(5))
-    assert base == [((), 1), ((1, 2), 1), ((2,), 2)]
+    """Adding and evicting the same weighted batches restores an empty
+    miner: no transaction, item count or itemset is left behind."""
+    miner = IncrementalMiner()
+    miner.add([fs(1, 2, 3)] * 2 + [fs(1, 2)])
+    assert_matches_scratch(miner, 0.3)
+    miner.evict([fs(1, 2, 3)] * 2)
+    miner.evict([fs(1, 2)])
+    assert miner.n_transactions == 0
+    assert miner.transaction_counts() == {}
+    assert miner.itemsets(0.1) == {}
 
 
 def test_tree_remove_missing_raises_and_leaves_state_intact():
-    tree = CanonicalTree()
-    tree.add([1, 2], 1)
+    """An evict of a transaction, or a multiplicity, that is not present
+    raises and leaves the multiset and its itemsets as they were."""
+    miner = IncrementalMiner()
+    miner.add([fs(1, 2)])
     with pytest.raises(ValueError):
-        tree.remove([1, 3], 1)
+        miner.evict([fs(1, 3)])
     with pytest.raises(ValueError):
-        tree.remove([1, 2], 2)  # present, but not with that weight
-    assert tree.paths(2) == [([1], 1)]
+        miner.evict([fs(1, 2)] * 2)  # present, but not with that weight
+    assert miner.transaction_counts() == {fs(1, 2): 1}
+    assert miner.itemsets(1.0) == {fs(1): 1, fs(2): 1, fs(1, 2): 1}
 
 
 # ---------------------------------------------------------------------- #
@@ -417,3 +423,97 @@ def test_rule_miner_randomized_windows_match_scratch():
         db = make_db(stream[start : start + 8])
         miner.sync(db)
         assert_rules_match(miner, db)
+
+
+# ---------------------------------------------------------------------- #
+# Window alignment in sync
+# ---------------------------------------------------------------------- #
+
+window_rows = st.lists(
+    st.tuples(
+        st.sampled_from([fs(), fs(A), fs(A, B), fs(B, C), fs(C)]),
+        st.sampled_from([fs(), fs(X), fs(Y), fs(X, Y)]),
+    ),
+    max_size=12,
+)
+
+
+@given(window_rows, st.integers(0, 12), window_rows, window_rows)
+@settings(max_examples=200, deadline=None)
+def test_unshared_transactions_keep_the_multiset_difference(
+    old, drop, head, tail
+):
+    """However the next window relates to the last one (a slide, edits at
+    its front, or nothing shared), leaving out the shared run keeps the
+    exact multiset difference, and sync lands on the new window."""
+    new = head + old[drop:] + tail
+
+    def split(rows):
+        return [b for b, _ in rows], [h for _, h in rows]
+
+    def multiset(rows):
+        return Counter(b | h for b, h in rows)
+
+    gone, came = _unshared(split(old), split(new))
+    assert came - gone == multiset(new) - multiset(old)
+    assert gone - came == multiset(old) - multiset(new)
+    miner = IncrementalRuleMiner(min_support=0.1, min_confidence=0.2)
+    miner.sync(make_db(old))
+    added, evicted = miner.sync(make_db(new))
+    assert miner.miner.transaction_counts() == multiset(new)
+    assert added == sum((multiset(new) - multiset(old)).values())
+    assert evicted == sum((multiset(old) - multiset(new)).values())
+
+
+def test_sync_after_direct_window_edits_diffs_the_whole_multiset():
+    """add_window/evict_window change the multiset behind the last synced
+    window, so the next sync must not trust the alignment."""
+    miner = IncrementalRuleMiner(min_support=0.1, min_confidence=0.2)
+    db = make_db(ROWS)
+    miner.sync(db)
+    miner.add_window([fs(A, X)])
+    assert miner.sync(db) == (0, 1)
+    miner.evict_window([fs(A, B, X)])
+    assert miner.sync(db) == (1, 0)
+    assert_rules_match(miner, db)
+
+
+# ---------------------------------------------------------------------- #
+# Fixed-seed regression at the lifecycle-retrain shape
+# ---------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def retrain_stream():
+    """The generator's ANL corpus (seed 11, as the retrain benchmark mines),
+    Phase-1 compressed and repeated with time shifts into 3,072 events."""
+    unique = ThreePhasePredictor().preprocess(
+        LogGenerator(anl_profile(), scale=0.05, seed=11).generate().raw
+    ).events.to_events()
+    span = unique[-1].time - unique[0].time + 1
+    stream = [
+        ev.with_time(ev.time + k * span) for k in range(4) for ev in unique
+    ][:3072]
+    return EventStore.from_events_in_memory(stream)
+
+
+def test_lifecycle_shaped_retrains_match_scratch(retrain_stream):
+    """2 h rule window, support 0.01, ``max_len`` 3, and a 2,048-event window
+    sliding by 256 events: every maintained refit equals a one-shot fit and
+    the Apriori oracle, Step-3 multi-head bodies occur, and partitions are
+    reused between refits."""
+    params = dict(min_support=0.01, min_confidence=0.2, max_len=3)
+    miner = IncrementalRuleMiner(**params)
+    registry = MetricsRegistry()
+    multi_head = 0
+    with use(registry):
+        for lo in range(0, len(retrain_stream) - 2048 + 1, 256):
+            window = retrain_stream.select(slice(lo, lo + 2048))
+            db = build_event_sets(window, 120 * MINUTE)
+            miner.sync(db)
+            rules = ruleset_key(miner.rules())
+            assert rules == ruleset_key(generate_rules(db, **params))
+            assert rules == ruleset_key(reference_rules(db, **params))
+            multi_head += sum(len(r.heads) > 1 for r in rules[0])
+    assert multi_head > 0
+    assert registry.counters.get("mining.incremental.suffix_reused", 0) > 0

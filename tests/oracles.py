@@ -39,7 +39,12 @@ from repro.evaluation.matching import MatchResult, match_warnings
 from repro.evaluation.metrics import Metrics
 from repro.meta.stacked import MetaLearner, MetaStream
 from repro.mining.counts import min_count_for
-from repro.mining.rules import RuleSet, item_ids_for, rules_from_itemsets
+from repro.mining.rules import (
+    RuleSet,
+    item_ids_for,
+    rule_candidates,
+    rules_from_itemsets,
+)
 from repro.mining.transactions import EventSetDB
 from repro.online.detector import OnlineSession
 from repro.online.resolution import SessionStats, WarningResolver
@@ -570,9 +575,11 @@ def reference_rules(
         hits = [t for t in transactions if body <= t]
         return len(hits), sum(1 for t in hits if t & heads)
 
+    freq = apriori(transactions, min_support, max_len=max_len)
     return rules_from_itemsets(
-        apriori(transactions, min_support, max_len=max_len),
+        freq,
         len(transactions),
+        candidates=rule_candidates(freq, db.fatal_items),
         item_names=db.item_names,
         fatal_items=db.fatal_items,
         min_confidence=min_confidence,

@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 from repro.bgl.locations import LocationKind, format_location, parse_location
 from repro.evaluation.crossval import fold_index_ranges
 from repro.evaluation.matching import match_warnings
-from repro.mining.incremental import IncrementalMiner
+from repro.mining.incremental import (
+    IncrementalMiner,
+    IncrementalRuleMiner,
+    generate_rules,
+)
+from repro.mining.transactions import EventSetDB
 from repro.util.rng import as_generator
 from repro.predictors.base import FailureWarning, dedup_warnings
 from repro.preprocess.compression import spatial_compress, temporal_compress
@@ -13,7 +18,7 @@ from repro.ras.events import RasEvent
 from repro.ras.fields import Facility, Severity
 from repro.ras.logfile import format_event, parse_line
 from repro.ras.store import EventStore
-from tests.mining.test_fptree import fpgrowth
+from tests.mining.test_kernel import kernel_itemsets
 from tests.oracles import apriori
 
 # ---------------------------------------------------------------------- #
@@ -72,9 +77,9 @@ def test_incremental_miner_equivalent_to_scratch(db, min_support):
 
 @given(transactions, st.floats(min_value=0.05, max_value=1.0))
 @settings(max_examples=60, deadline=None)
-def test_apriori_fpgrowth_equivalent(db, min_support):
-    """Whole-database FP-growth from the conditional-tree primitives."""
-    assert apriori(db, min_support) == fpgrowth(db, min_support)
+def test_apriori_kernel_equivalent(db, min_support):
+    """Whole-database mining through the tid-list kernel alone."""
+    assert apriori(db, min_support) == kernel_itemsets(db, min_support)
 
 
 def test_engine_matches_apriori_seeded_grid():
@@ -121,6 +126,95 @@ def test_incremental_add_evict_restores_scratch(base, extra, min_support):
     assert miner.itemsets(min_support) == apriori(base + extra, min_support)
     miner.evict(extra)
     assert miner.itemsets(min_support) == apriori(base, min_support)
+
+
+#: Schedule property: body items 0-5, fatal candidates 6-8.
+SCHEDULE_ITEMS = [f"item{i}" for i in range(9)]
+
+schedule_rows = st.lists(
+    st.tuples(
+        st.frozensets(st.integers(min_value=0, max_value=5), max_size=4),
+        st.frozensets(st.integers(min_value=6, max_value=8), max_size=2),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+schedule_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), schedule_rows),
+        st.tuples(st.just("evict_front"), st.integers(min_value=1, max_value=6)),
+        st.tuples(
+            st.just("evict_any"),
+            st.lists(st.integers(min_value=0, max_value=40), max_size=4),
+        ),
+        st.tuples(
+            st.just("threshold"),
+            st.tuples(
+                st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.35, 0.6]),
+                st.integers(min_value=1, max_value=6),
+            ),
+        ),
+        st.tuples(
+            st.just("fatal"),
+            st.frozensets(st.integers(min_value=5, max_value=8), min_size=1),
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(
+    schedule_steps,
+    st.sampled_from([0.05, 0.1, 0.2, 0.34]),
+    st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_maintained_miner_matches_scratch_under_random_schedules(
+    steps, min_support, max_len
+):
+    """Any schedule of window adds and evicts (from the front and from
+    anywhere), threshold and ``max_len`` moves in both directions, and
+    fatal-set changes: after every step the maintained itemset table equals
+    a fresh fill and Apriori, and ``rules()`` equals a one-shot
+    ``generate_rules`` (Step-3 multi-head bodies included)."""
+    miner = IncrementalRuleMiner(min_support=min_support, max_len=max_len)
+    rows: list[tuple[frozenset[int], frozenset[int]]] = []
+    fatal = frozenset({6, 7, 8})
+    for op, arg in steps:
+        if op == "add":
+            rows.extend(arg)
+        elif op == "evict_front":
+            del rows[:arg]
+        elif op == "evict_any":
+            for i in sorted({i for i in arg if i < len(rows)}, reverse=True):
+                del rows[i]
+        elif op == "fatal":
+            fatal = arg
+        db = EventSetDB(
+            bodies=[b for b, _ in rows],
+            heads=[h for _, h in rows],
+            item_names=SCHEDULE_ITEMS,
+            fatal_items=fatal,
+        )
+        miner.sync(db)
+        transactions = db.transactions()
+        if op == "threshold":
+            support, length = arg
+            fresh = IncrementalMiner()
+            fresh.add(transactions)
+            got = miner.miner.itemsets(support, length)
+            assert got == fresh.itemsets(support, length)
+            assert got == apriori(transactions, support, max_len=length)
+        rules = miner.rules()
+        assert list(rules.rules) == list(
+            generate_rules(db, min_support, max_len=max_len).rules
+        )
+        assert rules.fatal_items == fatal
+        assert miner.miner.itemsets(min_support, max_len) == apriori(
+            transactions, min_support, max_len=max_len
+        )
 
 
 @given(transactions)

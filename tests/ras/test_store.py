@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cache.fingerprint import store_fingerprint
-from repro.ras.backend import InternTable
+from repro.ras.backend import COLUMN_NAMES, TABLE_NAMES, InternTable
+from repro.ras.columnar import open_store, write_store
 from repro.ras.events import RasEvent
 from repro.ras.fields import Facility, Severity
 from repro.ras.store import UNCLASSIFIED, EventBatch, EventStore
@@ -83,6 +84,40 @@ def test_severity_counts(tiny_store):
 def test_intern_tables_shared_by_selection(tiny_store):
     sub = tiny_store.select(tiny_store.fatal_mask())
     assert sub.location_table is tiny_store.location_table
+
+
+@pytest.fixture(params=["memory", "columnar"])
+def backed_store(request, tiny_store, tmp_path):
+    """``tiny_store`` on each backend."""
+    if request.param == "memory":
+        return tiny_store.materialized()
+    return open_store(write_store(tiny_store, tmp_path / "store"))
+
+
+def test_slice_fingerprint_matches_index_selection(backed_store):
+    for lo, hi in [(0, 5), (1, 3), (2, 2), (4, 5)]:
+        view = backed_store.select(slice(lo, hi))
+        copy = backed_store.select(np.arange(lo, hi))
+        assert store_fingerprint(view) == store_fingerprint(copy)
+
+
+def test_slice_columns_stay_read_only(backed_store):
+    view = backed_store.select(slice(1, 4))
+    for name in COLUMN_NAMES:
+        column = view.column(name)
+        assert not column.flags.writeable
+        assert column is view.column(name)  # same object on every call
+        with pytest.raises(ValueError):
+            column[0] = 0
+
+
+def test_slice_shares_intern_tables(backed_store):
+    view = backed_store.select(slice(1, 4))
+    for name in TABLE_NAMES:
+        assert view.table(name) is backed_store.table(name)
+    for chunk in backed_store.iter_chunks(2):
+        for name in TABLE_NAMES:
+            assert chunk.table(name) is backed_store.table(name)
 
 
 def test_entry_interning(tiny_store):
