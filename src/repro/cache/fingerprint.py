@@ -49,9 +49,9 @@ def store_fingerprint(events: EventStore) -> str:
         h.update(b"\x00")
     for table_name in TABLE_NAMES:
         h.update(table_name.encode("utf-8"))
-        for s in events.table(table_name).strings:
-            h.update(s.encode("utf-8"))
-            h.update(b"\x1f")
+        # Every string followed by the separator, hashed in one update.
+        strings = events.table(table_name).strings
+        h.update("".join(s + "\x1f" for s in strings).encode("utf-8"))
         h.update(b"\x00")
     return h.hexdigest()
 

@@ -231,6 +231,9 @@ class Retrainer:
             np.random.SeedSequence(seed) if seed is not None else None
         )
         self._window: Optional[EventStore] = None
+        # Chunks extended since the window was last built, and their rows.
+        self._pending: list[EventStore] = []
+        self._pending_rows = 0
         self.retrain_count = 0
         self.fitter: Optional[IncrementalFitter] = (
             IncrementalFitter()
@@ -242,23 +245,40 @@ class Retrainer:
 
     @property
     def window(self) -> Optional[EventStore]:
-        """The current sliding window (``None`` until events arrive)."""
+        """The current sliding window (``None`` until events arrive).
+
+        Built from the chunks extended since the last read, in one
+        concatenation and one trim: the newest ``window_events`` rows of
+        the merge are the rows that trimming after every chunk would keep.
+        """
+        if self._pending:
+            self._build_window()
         return self._window
 
     @property
     def window_size(self) -> int:
-        return 0 if self._window is None else len(self._window)
+        window = self.window
+        return 0 if window is None else len(window)
 
     def extend(self, chunk: EventStore) -> None:
-        """Append a classified chunk, trimming to the newest window rows."""
+        """Append a classified chunk; :attr:`window` keeps the newest
+        ``window_events`` rows."""
         if len(chunk) == 0:
             return
-        merged = chunk if self._window is None else self._window.concat(chunk)
+        self._pending.append(chunk)
+        self._pending_rows += len(chunk)
+        if self._pending_rows > self.window_events:
+            self._build_window()  # bound what waits for a read
+
+    def _build_window(self) -> None:
+        stores = ([] if self._window is None else [self._window]) + self._pending
+        merged = stores[0].concat(*stores[1:])
         if len(merged) > self.window_events:
             merged = merged.select(
                 slice(len(merged) - self.window_events, len(merged))
             )
         self._window = merged
+        self._pending, self._pending_rows = [], 0
 
     # -- maintained mining state ---------------------------------------- #
 
@@ -293,7 +313,7 @@ class Retrainer:
         note: str = "",
     ) -> tuple[ModelSnapshot, Predictor]:
         """Fit the spec on the current window and register the snapshot."""
-        window = self._window
+        window = self.window
         if window is None or len(window) == 0:
             raise ValueError("retrainer window is empty; feed events first")
         seed = self._seed_root.spawn(1)[0] if self._seed_root else None

@@ -552,30 +552,38 @@ class EventStore:
             self._subcats,
         )
 
-    def concat(self, other: "EventStore") -> "EventStore":
-        """Merge two stores into a new time-sorted store.
+    def concat(self, *others: "EventStore") -> "EventStore":
+        """Merge this store and ``others`` into a new time-sorted store.
 
-        Intern ids of ``other`` are remapped onto copies of this store's
-        tables.  A table of ``other`` that extends this store's (a list
-        prefix: ``other`` was cut from a store whose table this one copied)
-        already holds every id in place, so it is copied, not re-interned.
+        Rows keep their order within equal times (this store's first), so
+        ``a.concat(b, c)`` equals ``a.concat(b).concat(c)``.  Intern ids of
+        each other store are remapped onto copies of the tables so far.  A
+        table that extends them (a list prefix: the store was cut from one
+        whose table the earlier ones copied) already holds every id in
+        place, so it is taken as it is, not re-interned.
         """
+        stores = (self, *others)
         tables, ids = [], []
         for table, column in (("locations", "location_ids"), ("entries", "entry_ids"),
                               ("subcats", "subcat_ids")):
-            mine, theirs = self.table(table).strings, other.table(table).strings
-            other_ids = other.column(column)
-            if theirs[: len(mine)] == mine:
-                merged = InternTable(theirs)
-            else:
-                merged = InternTable(mine)
-                remap = np.array(merged.intern_all(theirs) or [0], dtype=np.int32)
-                # Only subcategories hold UNCLASSIFIED, which stays as it is.
-                other_ids = np.where(other_ids == UNCLASSIFIED, other_ids, remap[other_ids])
-            tables.append(merged)
-            ids.append(np.concatenate([self.column(column), other_ids]))
+            strings = self.table(table).strings
+            merged: Optional[InternTable] = None
+            parts = [self.column(column)]
+            for other in others:
+                theirs, other_ids = other.table(table).strings, other.column(column)
+                if merged is None and theirs[: len(strings)] == strings:
+                    strings = theirs
+                else:
+                    if merged is None:
+                        merged = InternTable(strings)
+                    remap = np.array(merged.intern_all(theirs) or [0], dtype=np.int32)
+                    # Only subcategories hold UNCLASSIFIED, which stays as it is.
+                    other_ids = np.where(other_ids == UNCLASSIFIED, other_ids, remap[other_ids])
+                parts.append(other_ids)
+            tables.append(InternTable(strings) if merged is None else merged)
+            ids.append(np.concatenate(parts))
         merged_store = EventStore(
-            *(np.concatenate([self.column(c), other.column(c)])
+            *(np.concatenate([s.column(c) for s in stores])
               for c in ("times", "severities", "facilities", "jobs")),
             *ids,
             *tables,

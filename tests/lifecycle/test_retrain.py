@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache import store_fingerprint
 from repro.core.serialize import model_to_dict
 from repro.evaluation.spec import PredictorSpec
 from repro.lifecycle import ModelRegistry, Retrainer, RetrainPolicy, fit_spec
@@ -102,6 +103,42 @@ def test_retrainer_window_trims_to_newest(anl_events, tmp_path):
     # The window holds the *newest* 100 events.
     assert retrainer.window.times[-1] == anl_events.times[159]
     assert retrainer.window.times[0] == anl_events.times[60]
+
+
+def _eager_window(window, chunk, window_events):
+    """The window trimmed after every chunk (the buffered window's oracle)."""
+    if len(chunk) == 0:
+        return window
+    merged = chunk if window is None else window.concat(chunk)
+    if len(merged) > window_events:
+        merged = merged.select(slice(len(merged) - window_events, len(merged)))
+    return merged
+
+
+@pytest.mark.parametrize("window_events", [7, 100, 10_000])
+@pytest.mark.parametrize("read_every", [1, 3])
+def test_buffered_window_equals_per_chunk_trim(
+    anl_events, sdsc_events, tmp_path, window_events, read_every
+):
+    """However often the window is read, it is the store that trimming
+    after every chunk builds: empty chunks, chunks larger than the
+    window, chunks that go back in time and chunks with their own tables."""
+    retrainer = Retrainer(
+        PredictorSpec.of("meta"), ModelRegistry(tmp_path), window_events=window_events
+    )
+    chunks = [
+        anl_events.select(slice(lo, hi))
+        for lo, hi in [(0, 5), (5, 5), (5, 69), (69, 300), (300, 301), (150, 170),
+                       (301, 301), (301, 340), (340, 600)]
+    ]
+    chunks[5:5] = [sdsc_events.select(slice(0, 40))]
+    eager = None
+    for i, chunk in enumerate(chunks, 1):
+        retrainer.extend(chunk)
+        eager = _eager_window(eager, chunk, window_events)
+        if i % read_every == 0 or i == len(chunks):
+            assert store_fingerprint(retrainer.window) == store_fingerprint(eager)
+            assert retrainer.window_size == len(eager)
 
 
 def test_retrainer_empty_window_is_an_error(tmp_path):

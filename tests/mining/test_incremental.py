@@ -11,6 +11,7 @@ support threshold in both directions.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from repro.core.serialize import (
     incremental_miner_to_dict,
     ruleset_to_dict,
 )
+from repro.mining import rules
 from repro.mining.counts import min_count_for
 from repro.mining.incremental import (
     IncrementalMiner,
@@ -219,6 +221,28 @@ def test_evict_more_than_present_is_atomic():
     assert_matches_scratch(miner, 0.5)
 
 
+def test_mask_width_grows_and_never_shrinks():
+    """Items past 63 and 127 widen the table to three words; once they
+    leave the window, only the dirty partitions are re-mined."""
+    low = [fs(1, 2), fs(1, 3), fs(2, 3), fs(2, 3)]
+    high = [fs(1, 70), fs(70, 130)]
+    miner = IncrementalMiner()
+    miner.add(low)
+    assert miner.itemsets(0.3) == apriori(low, 0.3)
+    for batch, expected, mined in ((high, low + high, 3), (None, low, 1)):
+        if batch:
+            miner.add(batch)
+        else:
+            miner.evict(high)
+        registry = MetricsRegistry()
+        with use(registry):
+            assert miner.itemsets(0.3) == apriori(expected, 0.3)
+        assert miner._table[0].shape[1] == 3
+        # Only the dirty items present are re-mined; items 2 and 3 are kept.
+        assert registry.counters["mining.incremental.suffix_mined"] == mined
+        assert registry.counters["mining.incremental.suffix_reused"] == 2
+
+
 def test_max_len_change_invalidates_cache():
     miner = IncrementalMiner()
     miner.add([fs(1, 2, 3)] * 4)
@@ -276,6 +300,32 @@ ROWS = [
     ((), (X,)),
     ((A,), ()),
 ]
+
+
+@pytest.mark.parametrize("multiplier", [0, 1])
+def test_rules_join_exactly_when_row_keys_collide(monkeypatch, multiplier):
+    """A degenerate key polynomial makes many distinct masks share a join
+    key; the body lookup and the Step-3 grouping still compare whole rows."""
+    monkeypatch.setattr(rules, "KEY_MULTIPLIER", np.uint64(multiplier))
+    rng = as_generator(11)
+    body_ids, head_ids = [0, 3, 64, 67, 128, 131], [5, 69, 130]
+    rows = [
+        (
+            fs(*rng.choice(body_ids, size=int(rng.integers(0, 4)), replace=False).tolist()),
+            fs(*rng.choice(head_ids, size=int(rng.integers(1, 3)), replace=False).tolist()),
+        )
+        for _ in range(60)
+    ]
+    db = EventSetDB(
+        bodies=[b for b, _ in rows],
+        heads=[h for _, h in rows],
+        item_names=[f"item{i}" for i in range(140)],
+        fatal_items=frozenset(head_ids),
+    )
+    for combine in (True, False):
+        params = dict(min_support=0.03, min_confidence=0.1, max_len=4, combine=combine)
+        rs = generate_rules(db, **params)
+        assert len(rs) and list(rs.rules) == list(reference_rules(db, **params).rules)
 
 
 def test_rule_miner_matches_generate_rules():

@@ -19,7 +19,7 @@ from repro.ras.fields import Facility, Severity
 from repro.ras.logfile import format_event, parse_line
 from repro.ras.store import EventStore
 from tests.mining.test_kernel import kernel_itemsets
-from tests.oracles import apriori
+from tests.oracles import apriori, reference_rules
 
 # ---------------------------------------------------------------------- #
 # Strategies
@@ -215,6 +215,61 @@ def test_maintained_miner_matches_scratch_under_random_schedules(
         assert miner.miner.itemsets(min_support, max_len) == apriori(
             transactions, min_support, max_len=max_len
         )
+
+
+#: Item layouts across mask words: body items, then fatal head items.
+#: Ids past 63 and 127 put items in a second and a third 64-bit word.
+WIDE_LAYOUTS = [
+    ([1, 40, 63, 64, 90, 127], [5, 70, 128]),
+    ([64, 65, 100, 127, 128, 150], [66, 129, 191]),
+    ([128, 130, 140, 160, 170, 180], [129, 131, 190]),
+]
+
+wide_rows = st.lists(
+    st.tuples(
+        st.frozensets(st.integers(min_value=0, max_value=5), max_size=4),
+        st.frozensets(st.integers(min_value=0, max_value=2), min_size=1, max_size=2),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+@given(
+    st.sampled_from(WIDE_LAYOUTS),
+    wide_rows,
+    st.sampled_from([0.05, 0.1, 0.2, 0.34]),
+    st.sampled_from([0.1, 0.2, 0.5]),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_reference_rules_on_multi_word_masks(
+    layout, rows, min_support, min_confidence, max_len, combine, prune
+):
+    """Item ids at and past 64 and 128 (two- and three-word masks), heads
+    of one or two items so that bodies carry several heads, ``max_len`` 1-4
+    and ``combine`` / ``prune_generalizations`` on and off: the engine's
+    rule set equals the frozenset reference, rule for rule."""
+    body_ids, head_ids = layout
+    rows = rows + rows[:2]  # repeat bodies, so several heads share them
+    db = EventSetDB(
+        bodies=[frozenset(body_ids[i] for i in b) for b, _ in rows],
+        heads=[frozenset(head_ids[i] for i in h) for _, h in rows],
+        item_names=[f"item{i}" for i in range(192)],
+        fatal_items=frozenset(head_ids),
+    )
+    params = dict(
+        min_support=min_support,
+        min_confidence=min_confidence,
+        max_len=max_len,
+        combine=combine,
+        prune_generalizations=prune,
+    )
+    assert list(generate_rules(db, **params).rules) == list(
+        reference_rules(db, **params).rules
+    )
 
 
 @given(transactions)

@@ -205,6 +205,32 @@ def test_concat_equals_reinterning_merge(anl_events):
     _assert_same_concat(EventStore.empty(), grown)
 
 
+def test_concat_of_several_equals_pairwise_concats(anl_events):
+    """``a.concat(b, c, ...)`` is ``a.concat(b).concat(c)...``: shared,
+    grown and foreign tables, equal and out-of-order times, empty stores."""
+    served = EventStore.from_batch(EventBatch.from_events(anl_events.to_events()))
+    n = len(served)
+    parts = [
+        served.select(slice(0, n // 3)),
+        served.select(slice(n // 3, n // 2)),
+        EventStore.empty(),
+        served.select(slice(n // 4, n // 3)),  # earlier times again
+        EventStore.from_batch(
+            EventBatch.from_events(served.select(slice(n // 2, n)).to_events()[::-1])
+        ),  # own tables, reversed
+    ]
+    for table in ("locations", "entries", "subcats"):
+        served.table(table).intern(f"grown-{table}")
+    parts.append(served.select(slice(n - 5, n)))  # a strict prefix grown
+    for k in range(1, len(parts) + 1):
+        stores = parts[-k:] + parts[:-k]
+        pairwise = stores[0]
+        for other in stores[1:]:
+            pairwise = pairwise.concat(other)
+        merged = stores[0].concat(*stores[1:])
+        assert store_fingerprint(merged) == store_fingerprint(pairwise)
+
+
 def test_with_subcat_ids_validates_shape(tiny_store):
     with pytest.raises(ValueError):
         tiny_store.with_subcat_ids(np.zeros(2, dtype=np.int32), ["a"])
