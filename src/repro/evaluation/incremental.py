@@ -37,7 +37,7 @@ from typing import Optional
 from repro.evaluation.spec import PredictorSpec
 from repro.meta.stacked import MetaLearner
 from repro.mining.incremental import IncrementalRuleMiner
-from repro.mining.transactions import build_event_sets
+from repro.mining.transactions import EventSetDB, build_event_sets
 from repro.obs import get_registry
 from repro.predictors.base import Predictor
 from repro.predictors.rulebased import RuleBasedPredictor
@@ -90,6 +90,9 @@ class IncrementalFitter:
 
     def __init__(self) -> None:
         self._miners: dict[tuple, IncrementalRuleMiner] = {}
+        # Per recipe, the last training store and its event-set database,
+        # whose bodies the next window's shared rows reuse.
+        self._event_sets: dict[tuple, tuple[EventStore, EventSetDB]] = {}
         self.fits = 0
         #: Fits whose sync found a zero delta (pure reuse of the structure).
         self.zero_delta_fits = 0
@@ -139,8 +142,10 @@ class IncrementalFitter:
             )
         obs = get_registry()
         t0 = perf_counter()
-        miner = self.miner_for(spec)
-        db = build_event_sets(train, float(spec.get("rule_window")))  # type: ignore[arg-type]
+        key = mining_recipe(spec)
+        miner = self._miners.get(key) or self.miner_for(spec)
+        db = build_event_sets(train, key[0], previous=self._event_sets.get(key))
+        self._event_sets[key] = (train, db)
         added, evicted = miner.sync(db)
         ruleset = miner.rules()
         npf = db.no_precursor_fraction()

@@ -222,3 +222,26 @@ def test_event_sets_when_the_store_opens_with_a_fatal(anl_events):
     ref_bodies, ref_heads = _per_fatal_reference(events, 15 * 60)
     assert db.bodies[0] == frozenset()
     assert (db.bodies, db.heads) == (ref_bodies, ref_heads)
+
+
+@pytest.mark.parametrize("window", [600.0, 7200.0])
+def test_previous_window_bodies_are_reused_exactly(anl_events, window):
+    """Sliding windows built from the previous window's database equal
+    fresh builds, and the bodies of the shared rows are the same objects."""
+    n = len(anl_events)
+    size, step = n // 2, max(1, n // 40)
+    old = anl_events.select(slice(0, size))
+    old_db = build_event_sets(old, window)
+    for lo in (step, 2 * step, 3 * step + 1):
+        new = anl_events.select(slice(lo, lo + size))
+        fresh = build_event_sets(new, window)
+        reused = build_event_sets(new, window, previous=(old, old_db))
+        assert reused.bodies == fresh.bodies and reused.heads == fresh.heads
+        shared = {id(b) for b in old_db.bodies}
+        assert any(id(b) in shared for b in reused.bodies)
+        old, old_db = new, reused
+    # A store that shares no rows (another stream) is built from scratch.
+    other = anl_events.select(slice(n - size // 2, n))
+    assert build_event_sets(other, window, previous=(old, old_db)).bodies == (
+        build_event_sets(other, window).bodies
+    )
