@@ -50,6 +50,7 @@ import hashlib
 import json
 import resource
 import sys
+from time import perf_counter
 
 from repro.cache import store_fingerprint
 from repro.core.pipeline import ThreePhasePredictor
@@ -61,7 +62,9 @@ raw = open_store(path)
 if mode == "inram":
     raw = raw.materialized()
 predictor = ThreePhasePredictor()
+t0 = perf_counter()
 events = predictor.preprocess(raw).events
+phase1_s = perf_counter() - t0
 predictor.fit(events)
 pool = DetectorPool(predictor.meta, shards=4)
 replay = pool.replay(events, chunk_events=chunk if mode == "stream" else None)
@@ -82,6 +85,7 @@ print(json.dumps({
     "precision": replay.combined.precision_so_far,
     "failures": replay.combined.failures,
     "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "phase1_s": phase1_s,
 }))
 """
 
@@ -152,6 +156,8 @@ def test_streaming_pipeline_matches_in_ram_within_rss_ceiling(big_store):
             ("precision", f"{stream['precision']:.4f}", "bit-identical"),
             ("stream peak RSS", f"{stream_mib:.0f} MiB", f"<= {RSS_CEILING_MIB} MiB"),
             ("in-RAM peak RSS", f"{inram_mib:.0f} MiB", ""),
+            ("stream phase1_s", f"{stream['phase1_s']:.3f} s", "preprocess(raw)"),
+            ("in-RAM phase1_s", f"{inram['phase1_s']:.3f} s", "preprocess(raw)"),
         ],
     )
 

@@ -125,18 +125,10 @@ class ThreePhasePredictor(Predictor):
 
     # -- raw-record interface -------------------------------------------- #
 
-    def preprocess(
-        self, raw: EventStore, chunk_events: Optional[int] = None
-    ) -> PreprocessResult:
-        """Run Phase 1 alone (exposed for inspection and the CLI).
-
-        ``chunk_events`` is forwarded to
-        :meth:`~repro.preprocess.pipeline.PreprocessPipeline.run`: ``None``
-        streams automatically on columnar-backed stores, ``0`` forces the
-        batch path, a positive count forces streaming.
-        """
+    def preprocess(self, raw: EventStore) -> PreprocessResult:
+        """Run Phase 1 alone (exposed for inspection and the CLI)."""
         with get_registry().span("phase1"):
-            return self.preprocessor.run(raw, chunk_events=chunk_events)
+            return self.preprocessor.run(raw)
 
     def fit_raw(self, raw: EventStore) -> "ThreePhasePredictor":
         """Phase 1 on the raw store, then train phases 2-3."""

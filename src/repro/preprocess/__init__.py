@@ -9,7 +9,8 @@ event stream the predictors learn from:
 3. **spatial compression** across locations
    (:func:`repro.preprocess.compression.spatial_compress`).
 
-:class:`repro.preprocess.pipeline.PreprocessPipeline` runs all three and
+:class:`repro.preprocess.pipeline.PreprocessPipeline` runs all three —
+temporal compression first, so only its survivors are categorized — and
 collects statistics; :mod:`repro.preprocess.summary` renders the paper's
 Table 1 and Table 4.
 """

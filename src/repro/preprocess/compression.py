@@ -14,9 +14,14 @@ The paper uses a 300 s threshold for both, observing that larger thresholds
 gain no further FAILURE compression while risking the merger of genuinely
 distinct events.
 
-The engine is fully vectorized: one ``lexsort`` over (key..., time), one pass
-of boundary detection, and ``reduceat``-style reductions — no Python loop
-over records, which matters on the 4-million-record full-scale log.
+One engine, :class:`ClusterCompressor`, runs both.  It consumes a store one
+contiguous chunk at a time (a whole store is one chunk), and every chunk is
+fully vectorized: one stable ``lexsort`` over (key..., time), one pass of
+boundary detection, and ``reduceat``-style reductions — no Python loop over
+records or clusters, which matters on the 4-million-record full-scale log.
+The state carried between chunks is one row per cluster that a later record
+could still join, so a columnar store larger than RAM compresses in the
+memory of one chunk.
 
 Representative choice: within a cluster the *earliest record of the highest
 severity present* survives.  For clusters of true duplicates (identical
@@ -28,7 +33,7 @@ shadowed by an INFO record that happened to arrive first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +43,16 @@ from repro.util.validation import check_positive
 #: The paper's compression threshold, seconds.
 DEFAULT_THRESHOLD: int = 300
 
-#: Default rows per chunk for the incremental compressor.
-DEFAULT_CHUNK_EVENTS: int = 262_144
+#: Key columns per temporal key mode; the last one is the primary sort key.
+_TEMPORAL_KEYS: dict[str, tuple[str, ...]] = {
+    "job_location": ("location_ids", "jobs"),
+    "job_location_entry": ("entry_ids", "location_ids", "jobs"),
+}
+
+#: Spatial compression's key columns: ENTRY_DATA and JOB_ID.
+SPATIAL_KEYS: tuple[str, ...] = ("entry_ids", "jobs")
+
+_KEY_COLUMNS = frozenset({"entry_ids", "location_ids", "jobs"})
 
 
 @dataclass
@@ -66,68 +79,129 @@ class CompressionStats:
         return self.removed / self.input_records
 
 
-def _compress_by_keys(
-    store: EventStore,
-    keys: list[np.ndarray],
-    threshold: float,
-) -> tuple[EventStore, CompressionStats]:
-    """Shared engine: cluster within key groups by time gap, keep one rep."""
-    check_positive(threshold, "threshold")
-    n = len(store)
-    stats = CompressionStats(input_records=n)
-    if n == 0:
-        stats.output_records = 0
-        return store, stats
+def temporal_keys(key_mode: str) -> tuple[str, ...]:
+    """The key columns of a temporal key mode; ``ValueError`` if unknown."""
+    try:
+        return _TEMPORAL_KEYS[key_mode]
+    except KeyError:
+        raise ValueError(f"unknown key_mode: {key_mode!r}") from None
 
-    # lexsort: last key is primary; we want groups contiguous then time.
-    order = np.lexsort([store.times, *keys])
-    t = store.times[order]
-    key_cols = [k[order] for k in keys]
 
-    # New cluster starts where any key changes or the time gap exceeds the
-    # threshold.
-    new_cluster = np.ones(n, dtype=bool)
-    if n > 1:
-        same_key = np.ones(n - 1, dtype=bool)
+class ClusterCompressor:
+    """Chunk-at-a-time clustering by key and time gap, one survivor each.
+
+    Feed contiguous chunks of one time-sorted store in order via
+    :meth:`push` (the chunks :meth:`EventStore.iter_chunks` yields), then
+    call :meth:`finish` for the surviving global row indices and stats.
+
+    Each push puts the carried rows — one per cluster still open, holding
+    its key, last time, maximum severity, representative row and size — in
+    front of the chunk and clusters both together.  A carried row sorts
+    before its key's chunk records (stable sort, time no later than theirs),
+    so the gap test joins a cluster across the chunk boundary, and the
+    cluster's first maximum-severity row stays its representative unless
+    the chunk strictly raises the maximum.  The result is therefore the
+    same for every chunking, the whole store as one chunk included.
+    """
+
+    def __init__(
+        self, keys: Sequence[str], threshold: float = DEFAULT_THRESHOLD
+    ) -> None:
+        check_positive(threshold, "threshold")
+        if not keys or not set(keys) <= _KEY_COLUMNS:
+            raise ValueError(f"unknown key columns: {tuple(keys)!r}")
+        self.keys = tuple(keys)
+        self.threshold = threshold
+        # Open clusters as columns: keys..., last time, max severity,
+        # representative row, size.
+        self._open: list[np.ndarray] = []
+        self._rows = 0
+        self._sev_in = np.zeros(6, dtype=np.int64)
+        self._kept_sev = np.zeros(6, dtype=np.int64)
+        self._reps: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        self._merged = 0
+
+    def push(self, chunk: EventStore) -> None:
+        """Consume the next contiguous chunk (it must follow the previous)."""
+        n = len(chunk)
+        if n == 0:
+            return
+        nk = len(self.keys)
+        carried = self._open
+        c = len(carried[0]) if carried else 0
+        cols = [chunk.column(k) for k in self.keys]
+        cols += [chunk.times, chunk.severities]
+        self._sev_in += np.bincount(cols[-1], minlength=6)
+        if c:
+            cols = [np.concatenate(pair) for pair in zip(carried, cols)]
+        # lexsort's last key is primary: keys contiguous, then time.
+        order = np.lexsort([cols[nk], *cols[:nk]])
+        *key_cols, t, sev = [col[order] for col in cols]
+
+        m = len(t)
+        same_key = np.ones(m - 1, dtype=bool)
         for k in key_cols:
             same_key &= k[1:] == k[:-1]
-        small_gap = (t[1:] - t[:-1]) <= threshold
-        new_cluster[1:] = ~(same_key & small_gap)
-    cluster_id = np.cumsum(new_cluster) - 1
-    n_clusters = int(cluster_id[-1]) + 1
+        new_cluster = np.ones(m, dtype=bool)
+        new_cluster[1:] = ~(same_key & ((t[1:] - t[:-1]) <= self.threshold))
+        starts = np.flatnonzero(new_cluster)
+        last = np.append(starts[1:], m) - 1
+        cluster_id = np.cumsum(new_cluster) - 1
 
-    # Representative: earliest record of the cluster's max severity.
-    sev = store.severities[order].astype(np.int64)
-    starts = np.flatnonzero(new_cluster)
-    max_sev = np.maximum.reduceat(sev, starts)
-    is_max = sev == max_sev[cluster_id]
-    # First max-severity row per cluster: rows are time-ordered within the
-    # cluster, so take the first occurrence of each cluster id among max rows.
-    max_rows = np.flatnonzero(is_max)
-    _, first_idx = np.unique(cluster_id[max_rows], return_index=True)
-    rep_sorted_pos = max_rows[first_idx]
-    rep_original_idx = order[rep_sorted_pos]
-    # Preserve global time order in the output.
-    rep_original_idx.sort()
+        max_sev = np.maximum.reduceat(sev, starts)
+        # The first max-severity row of each cluster: rows are in time order
+        # within a cluster and every cluster has at least one such row.
+        max_rows = np.flatnonzero(sev == max_sev[cluster_id])
+        max_ids = cluster_id[max_rows]
+        src = order[max_rows[np.append(True, max_ids[1:] != max_ids[:-1])]]
+        reps = src + (self._rows - c)
+        sizes = np.diff(starts, append=m)
+        if c:
+            # A key has at most one carried row, which brings its cluster's
+            # representative and the size it had so far.
+            from_carried = src < c
+            reps[from_carried] = carried[nk + 2][src[from_carried]]
+            at = np.flatnonzero(order < c)
+            sizes[cluster_id[at]] += carried[nk + 3][order[at]] - 1
+        self._rows += n
+        state = [k[last] for k in key_cols] + [t[last], max_sev, reps, sizes]
 
-    kept_mask = np.zeros(n, dtype=bool)
-    kept_mask[rep_original_idx] = True
-    removed_sev = store.severities[~kept_mask]
-    stats.removed_by_severity = np.bincount(
-        removed_sev, minlength=6
-    ).astype(np.int64)
-    stats.output_records = n_clusters
-    stats.clusters_merged = int(np.sum(np.diff(starts, append=n) > 1))
-    return store.select(rep_original_idx), stats
+        # A later record is no earlier than this chunk's last one, so only a
+        # cluster within the threshold of that time can still grow: at most
+        # one per key, as a key's earlier clusters ended before a wider gap.
+        still_open = (t.max() - state[nk]) <= self.threshold
+        self._close([col[~still_open] for col in state])
+        self._open = [col[still_open] for col in state]
+
+    def _close(self, clusters: list[np.ndarray]) -> None:
+        nk = len(self.keys)
+        max_sev, reps, sizes = clusters[nk + 1 :]
+        self._kept_sev += np.bincount(max_sev, minlength=6)
+        self._reps.append(reps)
+        self._merged += int(np.count_nonzero(sizes > 1))
+
+    def finish(self) -> tuple[np.ndarray, CompressionStats]:
+        """Close all open clusters; returns (sorted rep rows, stats)."""
+        if self._open:
+            self._close(self._open)
+            self._open = []
+        reps = np.sort(np.concatenate(self._reps))
+        stats = CompressionStats(
+            input_records=self._rows,
+            output_records=len(reps),
+            clusters_merged=self._merged,
+            removed_by_severity=self._sev_in - self._kept_sev,
+        )
+        return reps, stats
 
 
-def _temporal_keys(store: EventStore, key_mode: str) -> list[np.ndarray]:
-    """The grouping key columns for a temporal-compression key mode."""
-    if key_mode == "job_location":
-        return [store.location_ids, store.jobs]
-    if key_mode == "job_location_entry":
-        return [store.entry_ids, store.location_ids, store.jobs]
-    raise ValueError(f"unknown key_mode: {key_mode!r}")
+def _compress(
+    store: EventStore, keys: Sequence[str], threshold: float
+) -> tuple[EventStore, CompressionStats]:
+    compressor = ClusterCompressor(keys, threshold)
+    compressor.push(store)
+    rows, stats = compressor.finish()
+    return store.select(rows), stats
 
 
 def temporal_compress(
@@ -145,145 +219,7 @@ def temporal_compress(
         requires identical ENTRY_DATA, so distinct event types at one
         location are never merged — used by the ablation bench).
     """
-    return _compress_by_keys(store, _temporal_keys(store, key_mode), threshold)
-
-
-@dataclass
-class _OpenCluster:
-    """An in-progress cluster that may continue into the next chunk."""
-
-    last_time: int
-    best_sev: int
-    best_idx: int  # global row index of the current representative
-    size: int
-
-
-class IncrementalTemporalCompressor:
-    """Chunk-at-a-time temporal compression, bit-identical to the batch pass.
-
-    Feed contiguous, time-ordered chunks of one store via :meth:`push` (the
-    chunks :meth:`EventStore.iter_chunks` yields), then call :meth:`finish`
-    for the surviving global row indices and stats.  The only state carried
-    across chunks is one :class:`_OpenCluster` per active (key) group —
-    bounded by the number of distinct (JOB_ID, LOCATION) pairs, not by log
-    length — so a 100M-event columnar store compresses within a fixed
-    memory budget.
-
-    Equivalence with :func:`temporal_compress` holds because chunks are
-    contiguous slices of a globally time-sorted store: within a key group
-    the global (time, row-index) order is exactly chunk order, so a cluster
-    spanning a chunk boundary is reassembled by the gap test against the
-    carried ``last_time``, and the representative (earliest record of the
-    cluster's max severity) is the carried one unless the new fragment
-    strictly raises the max.
-    """
-
-    def __init__(
-        self,
-        threshold: float = DEFAULT_THRESHOLD,
-        key_mode: str = "job_location",
-    ) -> None:
-        check_positive(threshold, "threshold")
-        self.threshold = threshold
-        self.key_mode = key_mode
-        self._open: dict[tuple[int, ...], _OpenCluster] = {}
-        self._done: list[_OpenCluster] = []
-        self._rows = 0
-        self._sev_in = np.zeros(6, dtype=np.int64)
-        self._finished = False
-
-    def push(self, chunk: EventStore) -> None:
-        """Consume the next contiguous chunk (must follow the previous one)."""
-        if self._finished:
-            raise RuntimeError("compressor already finished")
-        n = len(chunk)
-        if n == 0:
-            return
-        keys = _temporal_keys(chunk, self.key_mode)
-        order = np.lexsort([chunk.times, *keys])
-        t = np.asarray(chunk.times)[order]
-        key_cols = [np.asarray(k)[order] for k in keys]
-        sev = np.asarray(chunk.severities)[order].astype(np.int64)
-
-        new_cluster = np.ones(n, dtype=bool)
-        if n > 1:
-            same_key = np.ones(n - 1, dtype=bool)
-            for k in key_cols:
-                same_key &= k[1:] == k[:-1]
-            small_gap = (t[1:] - t[:-1]) <= self.threshold
-            new_cluster[1:] = ~(same_key & small_gap)
-        starts = np.flatnonzero(new_cluster)
-        ends = np.append(starts[1:], n)
-
-        offset = self._rows
-        for lo, hi in zip(starts, ends):
-            lo = int(lo)
-            hi = int(hi)
-            key = tuple(int(k[lo]) for k in key_cols)
-            first_t = int(t[lo])
-            seg = sev[lo:hi]
-            best = int(seg.max())
-            # Earliest max-severity row; rows are (time, global idx)-ordered
-            # within the cluster, same tie-break as the batch pass.
-            rep = offset + int(order[lo + int(np.argmax(seg == best))])
-            state = self._open.get(key)
-            if state is not None and first_t - state.last_time <= self.threshold:
-                if best > state.best_sev:
-                    state.best_sev = best
-                    state.best_idx = rep
-                state.last_time = int(t[hi - 1])
-                state.size += hi - lo
-            else:
-                if state is not None:
-                    self._done.append(state)
-                self._open[key] = _OpenCluster(
-                    last_time=int(t[hi - 1]),
-                    best_sev=best,
-                    best_idx=rep,
-                    size=hi - lo,
-                )
-        self._rows += n
-        self._sev_in += np.bincount(
-            np.asarray(chunk.severities), minlength=6
-        ).astype(np.int64)[:6]
-
-    def finish(self) -> tuple[np.ndarray, CompressionStats]:
-        """Close all open clusters; returns (sorted global rep indices, stats)."""
-        if not self._finished:
-            self._done.extend(self._open.values())
-            self._open.clear()
-            self._finished = True
-        stats = CompressionStats(input_records=self._rows)
-        stats.output_records = len(self._done)
-        stats.clusters_merged = sum(1 for c in self._done if c.size > 1)
-        kept = np.zeros(6, dtype=np.int64)
-        for c in self._done:
-            kept[c.best_sev] += 1
-        stats.removed_by_severity = self._sev_in - kept
-        rep_idx = np.array(
-            sorted(c.best_idx for c in self._done), dtype=np.int64
-        )
-        return rep_idx, stats
-
-
-def temporal_compress_chunked(
-    store: EventStore,
-    threshold: float = DEFAULT_THRESHOLD,
-    key_mode: str = "job_location",
-    chunk_events: Optional[int] = DEFAULT_CHUNK_EVENTS,
-) -> tuple[EventStore, CompressionStats]:
-    """Temporal compression driven through the incremental engine.
-
-    Result and stats are bit-identical to :func:`temporal_compress`; only
-    the peak working set differs (one chunk plus per-key carried state
-    instead of the whole store).
-    """
-    comp = IncrementalTemporalCompressor(threshold, key_mode=key_mode)
-    chunk_rows = chunk_events or DEFAULT_CHUNK_EVENTS
-    for chunk in store.iter_chunks(chunk_rows):
-        comp.push(chunk)
-    rep_idx, stats = comp.finish()
-    return store.select(rep_idx), stats
+    return _compress(store, temporal_keys(key_mode), threshold)
 
 
 def spatial_compress(
@@ -296,5 +232,4 @@ def spatial_compress(
     same fault reported by different locations of the partition; one
     representative survives.
     """
-    keys = [store.entry_ids, store.jobs]
-    return _compress_by_keys(store, keys, threshold)
+    return _compress(store, SPATIAL_KEYS, threshold)

@@ -1,25 +1,22 @@
-"""The complete Phase-1 pipeline: categorize -> temporal -> spatial.
+"""The complete Phase-1 pipeline: temporal -> categorize -> spatial.
 
 ``PreprocessPipeline.run`` takes the raw record store and returns a
 :class:`PreprocessResult` carrying the unique-event store plus the statistics
 every report in the paper's §3.1 is built from.
 
+Temporal compression runs first, on the *raw* store, fed chunk by chunk
+through :class:`~repro.preprocess.compression.ClusterCompressor`; only its
+survivors are materialized and classified.  The order is free because the
+classifier depends solely on each row's ENTRY_DATA string and the temporal
+keys never involve the subcategory column, so classification commutes with
+temporal compression.  The working set is one chunk plus the open clusters
+(zero-copy slices on the columnar backend), which lets Phase 1 consume a
+store far larger than RAM; on an in-RAM store the chunks are views too.
+
 An optional *event filter* hook runs after compression; the paper's future
 work ("filtering out this ambiguity of failures and analyzing only those
 failures which will impact user jobs", citing Oliner et al.) plugs in here —
 see :func:`job_impacting_filter`.
-
-Two execution strategies produce bit-identical results:
-
-- **batch** — classify the whole store, then compress (the original path);
-- **streaming** — run temporal compression chunk-by-chunk through
-  :class:`~repro.preprocess.compression.IncrementalTemporalCompressor` on
-  the *raw* store and classify only the survivors.  Valid because the
-  classifier depends solely on each row's ENTRY_DATA string and the
-  temporal keys never involve the subcategory column, so classification
-  commutes with temporal compression.  This keeps the working set at one
-  chunk + per-key state, which is what lets phase1 consume a columnar
-  store far larger than RAM.
 """
 
 from __future__ import annotations
@@ -31,16 +28,17 @@ import numpy as np
 
 from repro.obs import get_registry
 from repro.preprocess.compression import (
-    DEFAULT_CHUNK_EVENTS,
     DEFAULT_THRESHOLD,
+    ClusterCompressor,
     CompressionStats,
-    IncrementalTemporalCompressor,
     spatial_compress,
-    temporal_compress,
+    temporal_keys,
 )
+from repro.ras.columnar import DEFAULT_CHUNK_EVENTS
 from repro.ras.events import NO_JOB
 from repro.ras.store import EventStore
 from repro.taxonomy.classifier import TaxonomyClassifier
+from repro.util.validation import check_positive
 
 #: Signature of a post-compression event filter: returns a keep-mask.
 EventFilter = Callable[[EventStore], np.ndarray]
@@ -80,7 +78,7 @@ def job_impacting_filter(store: EventStore) -> np.ndarray:
 
 
 class PreprocessPipeline:
-    """Categorization + temporal compression + spatial compression."""
+    """Temporal compression + categorization + spatial compression."""
 
     def __init__(
         self,
@@ -89,67 +87,23 @@ class PreprocessPipeline:
         temporal_key_mode: str = "job_location",
         event_filter: Optional[EventFilter] = None,
     ) -> None:
+        check_positive(threshold, "threshold")
+        self._temporal_keys = temporal_keys(temporal_key_mode)
         self.classifier = classifier or TaxonomyClassifier()
         self.threshold = threshold
-        self.temporal_key_mode = temporal_key_mode
         self.event_filter = event_filter
 
-    def run(
-        self, raw: EventStore, chunk_events: Optional[int] = None
-    ) -> PreprocessResult:
-        """Run all Phase-1 steps on a raw record store.
-
-        ``chunk_events`` selects the execution strategy: ``None`` (default)
-        streams automatically when ``raw`` sits on the columnar backend and
-        runs batch otherwise; ``0`` forces batch; a positive count forces
-        streaming with that chunk size.  Results are bit-identical either
-        way.
-        """
-        if chunk_events is None:
-            if raw.backend_kind == "columnar":
-                return self.run_streaming(raw)
-        elif chunk_events > 0:
-            return self.run_streaming(raw, chunk_events=chunk_events)
-        obs = get_registry()
-        with obs.span("phase1.classify"):
-            labeled = self.classifier.classify_store(raw)
-        with obs.span("phase1.temporal"):
-            after_temporal, t_stats = temporal_compress(
-                labeled, self.threshold, key_mode=self.temporal_key_mode
-            )
-        return self._finish(len(raw), after_temporal, t_stats)
-
-    def run_streaming(
-        self, raw: EventStore, chunk_events: int = DEFAULT_CHUNK_EVENTS
-    ) -> PreprocessResult:
-        """Phase 1 with a working set of one chunk + per-key carried state.
-
-        Temporal compression consumes ``raw`` chunk-by-chunk (zero-copy
-        slices on the columnar backend); only the surviving representatives
-        — orders of magnitude fewer rows — are materialized, classified,
-        and spatially compressed.
-        """
+    def run(self, raw: EventStore) -> PreprocessResult:
+        """Run all Phase-1 steps on a raw record store."""
         obs = get_registry()
         with obs.span("phase1.temporal"):
-            compressor = IncrementalTemporalCompressor(
-                self.threshold, key_mode=self.temporal_key_mode
-            )
-            for chunk in raw.iter_chunks(chunk_events):
+            compressor = ClusterCompressor(self._temporal_keys, self.threshold)
+            for chunk in raw.iter_chunks(DEFAULT_CHUNK_EVENTS):
                 compressor.push(chunk)
-            rep_idx, t_stats = compressor.finish()
-            survivors = raw.select(rep_idx)
+            rows, t_stats = compressor.finish()
+            survivors = raw.select(rows)
         with obs.span("phase1.classify"):
             after_temporal = self.classifier.classify_store(survivors)
-        return self._finish(len(raw), after_temporal, t_stats)
-
-    def _finish(
-        self,
-        raw_records: int,
-        after_temporal: EventStore,
-        t_stats: CompressionStats,
-    ) -> PreprocessResult:
-        """Shared tail: spatial compression, filtering, stats, metrics."""
-        obs = get_registry()
         with obs.span("phase1.spatial"):
             after_spatial, s_stats = spatial_compress(
                 after_temporal, self.threshold
@@ -163,12 +117,12 @@ class PreprocessPipeline:
                 events = events.select(keep)
         result = PreprocessResult(
             events=events,
-            raw_records=raw_records,
+            raw_records=len(raw),
             temporal_stats=t_stats,
             spatial_stats=s_stats,
             filtered_out=filtered_out,
         )
-        obs.counter("preprocess.records_in", raw_records)
+        obs.counter("preprocess.records_in", len(raw))
         obs.counter("preprocess.events_out", len(events))
         obs.counter(
             "preprocess.dropped",

@@ -25,15 +25,13 @@ def test_fit_raw_predict_raw_emit_phase_spans(small_anl_log):
     assert all(s.duration > 0.0 for s in registry.iter_spans())
 
     phase1, phase2, _, phase3 = registry.spans
-    # The streaming path (taken when the raw store is columnar-backed,
-    # e.g. under REPRO_STORE_BACKEND=columnar) compresses before
-    # classifying; the child *set* is the contract, batch order is pinned
-    # only on the batch path.
-    if small_anl_log.raw.backend_kind == "columnar":
-        expected = ["phase1.temporal", "phase1.classify", "phase1.spatial"]
-    else:
-        expected = ["phase1.classify", "phase1.temporal", "phase1.spatial"]
-    assert [c.name for c in phase1.children[:3]] == expected
+    # Phase 1 compresses the raw store in time before classifying only the
+    # survivors, on every store backend.
+    assert [c.name for c in phase1.children] == [
+        "phase1.temporal",
+        "phase1.classify",
+        "phase1.spatial",
+    ]
     fit_children = {c.name for c in phase2.children}
     assert {"phase2.fit.statistical", "phase2.fit.rule"} <= fit_children
     assert [c.name for c in phase3.children] == ["phase3.dispatch"]

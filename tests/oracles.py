@@ -20,7 +20,10 @@ cited level-wise frequent-itemset miner (Agrawal & Srikant, VLDB'94 — paper
 [1]) and :func:`reference_rules` mines rules through it, Steps 2-4 on
 frozensets (:func:`rules_from_itemsets`) and a full-scan body counter; the
 mining engine (``repro.mining.incremental``, Steps 2-4 on bit masks) is
-checked against both.  Do not optimise these: their value is that they are obviously right,
+checked against both.  :func:`reference_compress` is Phase 1's temporal or
+spatial compression as one whole-store pass, the earliest-max-severity
+representative per cluster; the chunked ``ClusterCompressor`` is checked
+against it.  Do not optimise these: their value is that they are obviously right,
 and the deque resolver's and Apriori's costs are what the heap resolver and
 the engine are benchmarked against.
 """
@@ -45,6 +48,7 @@ from repro.mining.transactions import EventSetDB
 from repro.online.detector import OnlineSession
 from repro.online.resolution import SessionStats, WarningResolver
 from repro.predictors.base import FailureWarning, Predictor
+from repro.preprocess.compression import CompressionStats
 from repro.ras.events import NO_JOB, RasEvent
 from repro.ras.fields import Facility, Severity
 from repro.ras.store import EventStore
@@ -688,3 +692,51 @@ def reference_rules(
         prune_generalizations=prune_generalizations,
         body_counter=scan_body,
     )
+
+
+def reference_compress(
+    store: EventStore, keys: Sequence[str], threshold: float
+) -> tuple[np.ndarray, CompressionStats]:
+    """Phase-1 compression as one whole-store pass: the paper-literal
+    earliest-max-severity representative per (key, time-gap) cluster.
+
+    Returns the representatives' row indices in store order and the stats;
+    ``ClusterCompressor`` fed any chunking of a time-sorted store must
+    return exactly these.
+    """
+    n = len(store)
+    stats = CompressionStats(input_records=n)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), stats
+    key_arrays = [store.column(k) for k in keys]
+    order = np.lexsort([store.times, *key_arrays])
+    t = store.times[order]
+    key_cols = [k[order] for k in key_arrays]
+
+    # New cluster where any key changes or the time gap exceeds the threshold.
+    new_cluster = np.ones(n, dtype=bool)
+    if n > 1:
+        same_key = np.ones(n - 1, dtype=bool)
+        for k in key_cols:
+            same_key &= k[1:] == k[:-1]
+        small_gap = (t[1:] - t[:-1]) <= threshold
+        new_cluster[1:] = ~(same_key & small_gap)
+    cluster_id = np.cumsum(new_cluster) - 1
+    n_clusters = int(cluster_id[-1]) + 1
+
+    # Representative: earliest record of the cluster's max severity.
+    sev = store.severities[order].astype(np.int64)
+    starts = np.flatnonzero(new_cluster)
+    max_sev = np.maximum.reduceat(sev, starts)
+    max_rows = np.flatnonzero(sev == max_sev[cluster_id])
+    _, first_idx = np.unique(cluster_id[max_rows], return_index=True)
+    rep_idx = np.sort(order[max_rows[first_idx]])
+
+    kept_mask = np.zeros(n, dtype=bool)
+    kept_mask[rep_idx] = True
+    stats.removed_by_severity = np.bincount(
+        store.severities[~kept_mask], minlength=6
+    ).astype(np.int64)
+    stats.output_records = n_clusters
+    stats.clusters_merged = int(np.sum(np.diff(starts, append=n) > 1))
+    return rep_idx, stats
