@@ -819,6 +819,12 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
     # Columnar input replays in bounded-memory chunks (serial; --jobs is a
     # whole-store optimization and is ignored on the streaming path).
     chunk = args.chunk if raw.backend_kind == "columnar" else None
+    if chunk is not None and args.jobs is not None and args.jobs > 1:
+        print(
+            f"note: --jobs {args.jobs} ignored: columnar input replays "
+            f"serially in chunks of {chunk} events",
+            file=sys.stderr,
+        )
     report = pool.replay(result.events, jobs=args.jobs, chunk_events=chunk)
     print(
         f"serve-replay: {report.events} events through {len(report.shards)} "

@@ -431,7 +431,8 @@ class RuleMatcher:
                 if self._missing[idx] == 0:
                     completed.append(self._rules[idx] or self.ruleset[idx])
                     heappush(self._satisfied_heap, idx)
-        completed.sort(key=lambda r: -r.confidence)
+        if len(completed) > 1:
+            completed.sort(key=lambda r: -r.confidence)
         return completed
 
     def remove(self, item: int) -> None:

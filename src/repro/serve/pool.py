@@ -43,6 +43,9 @@ from repro.ras.store import EventStore
 from repro.serve.sharding import SHARD_KEYS, midplane_of, shard_ids, shard_of_key
 from repro.util.validation import check_positive
 
+#: Distinct locations the location -> shard memo holds at most.
+_SHARD_CACHE_MAX = 8192
+
 
 @dataclass(frozen=True)
 class ShardReport:
@@ -140,10 +143,21 @@ class DetectorPool:
         self.shards = shards = int(shards)
         self.key = key
         self._sessions: dict[int, OnlineSession] = {}
+        self._shard_cache: dict[str, int] = {}
         #: Compiled once per location table: location id -> shard.
-        self._location_shards = TableMap(
-            lambda location: shard_of_key(midplane_of(location), shards)
-        )
+        self._location_shards = TableMap(self._shard_of_location)
+
+    def _shard_of_location(self, location: str) -> int:
+        """The midplane shard of ``location``, memoized by the string: each
+        daemon chunk store comes with fresh intern tables, so the map per
+        table alone would hash every location again for every chunk."""
+        cache = self._shard_cache
+        shard = cache.get(location)
+        if shard is None:
+            if len(cache) >= _SHARD_CACHE_MAX:
+                cache.clear()  # an open vocabulary cannot grow memory
+            shard = cache[location] = shard_of_key(midplane_of(location), self.shards)
+        return shard
 
     # ---------------------------------------------------------------- #
     # Daemon mode (persistent sessions, chunk by chunk)

@@ -156,3 +156,19 @@ def test_serve_replay_streams_columnar_input(store_path, tmp_path, capsys):
     doc = json.loads((tmp_path / "m.json").read_text())
     spans = [s["name"] for s in doc.get("spans", [])]
     assert "serve.replay" in spans
+
+
+def test_serve_replay_says_jobs_are_ignored_on_columnar_input(
+    store_path, tmp_path, capsys
+):
+    model = tmp_path / "model.json"
+    assert main(["train", str(store_path), "--model", str(model)]) == 0
+    capsys.readouterr()
+    base = ["serve-replay", str(store_path), "--model", str(model), "--chunk", "128"]
+    assert main(base + ["--jobs", "2"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--jobs 2 ignored" in err and "chunks of 128 events" in err
+    for jobs in ([], ["--jobs", "1"]):
+        assert main(base + jobs) == 0
+        assert "ignored" not in capsys.readouterr().err

@@ -231,6 +231,46 @@ def test_concat_of_several_equals_pairwise_concats(anl_events):
         assert store_fingerprint(merged) == store_fingerprint(pairwise)
 
 
+def _setdefault_intern(table: list[str], strings) -> list[int]:
+    """Reference interning: one dict lookup per string, new ones appended."""
+    index = {s: i for i, s in enumerate(table)}
+    ids = []
+    for s in strings:
+        ids.append(index.setdefault(s, len(index)))
+        if len(index) > len(table):
+            table.append(s)
+    return ids
+
+
+@pytest.mark.parametrize("prefilled", [[], ["b", "z"]])
+@pytest.mark.parametrize(
+    "strings", [[], ["a"], ["a", "b", "a", "c", "b", "a"], ["z", "z", "y", "b", "y"]]
+)
+@pytest.mark.parametrize("source", [list, tuple, lambda xs: (x for x in xs)])
+def test_intern_all_matches_a_setdefault_loop(prefilled, strings, source):
+    table = InternTable(prefilled)
+    want = list(prefilled)
+    assert table.intern_all(source(strings)) == _setdefault_intern(want, strings)
+    assert table.strings == want
+    # Ids stay consistent with single interning, and re-interning adds nothing.
+    assert [table.intern(s) for s in want] == list(range(len(want)))
+    assert table.intern_all(source(strings)) == _setdefault_intern(list(want), strings)
+    assert table.strings == want
+
+
+def test_event_batch_concat_of_one_and_of_many():
+    events = [make_event(time=t, entry=f"msg {t % 3}", job_id=t - 1) for t in range(10)]
+    events[4] = events[4].with_subcategory("dmaError")
+    batch = EventBatch.from_events(events)
+    assert EventBatch.concat([batch]) == batch
+    assert EventBatch.concat([]) == EventBatch()
+    cuts = [0, 0, 3, 4, 9, 10]
+    merged = EventBatch.concat([batch[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+    assert merged == batch
+    assert merged.events() == events
+    assert all(type(column) is list for column in merged._lists())
+
+
 def test_with_subcat_ids_validates_shape(tiny_store):
     with pytest.raises(ValueError):
         tiny_store.with_subcat_ids(np.zeros(2, dtype=np.int32), ["a"])

@@ -7,7 +7,7 @@ import pytest
 
 from repro.meta.stacked import MetaLearner
 from repro.online import OnlineSession
-from repro.ras.store import EventStore
+from repro.ras.store import EventBatch, EventStore
 from repro.serve import DetectorPool, midplane_of, shard_ids, shard_of_key
 from repro.util.rng import as_generator
 from repro.util.timeutil import MINUTE
@@ -107,6 +107,31 @@ def test_shard_ids_on_selected_chunks_match_per_row_routing(key, shards):
         assert got.tolist() == _per_row_shards(chunk, key, shards)
     # The 16-row chunks use far fewer locations than the table holds.
     assert len(np.unique(chunks[0].location_ids)) < len(parent.location_table) // 2
+
+
+@pytest.mark.parametrize("cap", [None, 5])
+@pytest.mark.parametrize("shards", [4, 7])
+def test_fresh_table_chunks_route_like_the_reference(fitted, monkeypatch, cap, shards):
+    """Daemon chunk stores each come with fresh intern tables; the pool's
+    location -> shard memo routes them as the per-event reference does,
+    also after the memo has passed its cap and been cleared."""
+    import repro.serve.pool as pool_module
+
+    if cap is not None:
+        monkeypatch.setattr(pool_module, "_SHARD_CACHE_MAX", cap)
+    pool = DetectorPool(fitted[0], shards=shards)
+    events = _wide_parent_store().to_events()
+    for lo in range(0, len(events), 16):
+        chunk = EventStore.from_batch(EventBatch.from_events(events[lo:lo + 16]))
+        parts = pool.partition(chunk)
+        assert sum(len(part) for _, part in parts) == len(chunk)
+        for shard, part in parts:
+            assert {reference_shard(ev, "midplane", shards) for ev in part} == {shard}
+        assert len(pool._shard_cache) <= (cap or pool_module._SHARD_CACHE_MAX)
+    locations = {ev.location for ev in events}
+    assert len(locations) > 2 * 5
+    if cap is None:
+        assert pool._shard_cache.keys() == locations
 
 
 @pytest.mark.parametrize("key", ["midplane", "job"])
