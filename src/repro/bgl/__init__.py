@@ -33,7 +33,6 @@ from repro.bgl.faults import (
     poisson_times,
     burst_process,
     chain_instances,
-    thin_times,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "poisson_times",
     "burst_process",
     "chain_instances",
-    "thin_times",
 ]

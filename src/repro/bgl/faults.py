@@ -47,16 +47,6 @@ def poisson_times(
     return times
 
 
-def thin_times(
-    rng: np.random.Generator, times: np.ndarray, keep_prob: float
-) -> np.ndarray:
-    """Independently keep each time with probability ``keep_prob``."""
-    check_fraction(keep_prob, "keep_prob")
-    times = np.asarray(times, dtype=np.float64)
-    mask = rng.random(times.size) < keep_prob
-    return times[mask]
-
-
 def burst_process(
     rng: np.random.Generator,
     t0: float,
@@ -164,12 +154,3 @@ def chain_instances(
             head_time = None
         out.append(ChainInstance(body_times=body, head_time=head_time))
     return out
-
-
-def merge_sorted_times(*arrays: np.ndarray) -> np.ndarray:
-    """Merge several (possibly unsorted) time arrays into one sorted array."""
-    if not arrays:
-        return np.empty(0, dtype=np.float64)
-    merged = np.concatenate([np.asarray(a, dtype=np.float64) for a in arrays])
-    merged.sort()
-    return merged

@@ -115,18 +115,6 @@ class JobTrace:
             chips.extend(self.machine.chips_of_nodecard(card))
         return chips
 
-    def utilization(self, t0: float, t1: float) -> float:
-        """Fraction of midplane-seconds occupied in [t0, t1)."""
-        if t1 <= t0:
-            raise ValueError("t1 must be > t0")
-        total = (t1 - t0) * len(self._starts)
-        busy = 0.0
-        for job in self.jobs:
-            overlap = min(job.end, t1) - max(job.start, t0)
-            if overlap > 0:
-                busy += overlap * len(job.midplane_indices)
-        return busy / total
-
 
 class JobWorkloadModel:
     """Generates a :class:`JobTrace` filling the machine with jobs.

@@ -164,12 +164,6 @@ class Machine:
             f"{nodecard_loc}-C{c:02d}" for c in range(self.spec.chips_per_nodecard)
         ]
 
-    def io_nodes_of_nodecard(self, nodecard_loc: str) -> list[str]:
-        """I/O-node codes under one node card."""
-        return [
-            f"{nodecard_loc}-I{i:02d}" for i in range(self.spec.io_nodes_per_nodecard)
-        ]
-
     def nodecards_of_midplane(self, midplane_loc: str) -> list[str]:
         """Node-card codes under one midplane."""
         return [

@@ -46,9 +46,3 @@ class PredictorConfig:
             raise ValueError("statistical_lead must be < statistical_window")
         if self.max_rule_len < 2:
             raise ValueError("max_rule_len must be >= 2 (body + head)")
-
-    def with_prediction_window(self, window: float) -> "PredictorConfig":
-        """Copy with a different prediction window (sweep helper)."""
-        from dataclasses import replace
-
-        return replace(self, prediction_window=window)

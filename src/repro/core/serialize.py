@@ -30,7 +30,6 @@ from typing import Any, Callable, TextIO, Union
 from repro.core.config import PredictorConfig
 from repro.core.pipeline import ThreePhasePredictor
 from repro.meta.stacked import MetaLearner
-from repro.mining.incremental import IncrementalRuleMiner
 from repro.mining.rules import RuleSet
 from repro.predictors.base import Predictor
 from repro.predictors.rulebased import RuleBasedPredictor
@@ -258,43 +257,6 @@ def meta_from_dict(doc: dict) -> MetaLearner:
         )
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"malformed meta document: {exc}") from exc
-
-
-def incremental_miner_to_dict(miner: IncrementalRuleMiner) -> dict:
-    """Versioned snapshot of a maintained incremental-mining state.
-
-    Carries the transaction multiset and mining parameters only (derived
-    structures are rebuilt on restore), in the same versioned envelope as
-    every other document here, so a lifecycle daemon can persist its
-    retrainer's mining state across restarts and resume O(delta) refits.
-    """
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "incremental-miner",
-        "state": miner.to_dict(),
-    }
-
-
-def incremental_miner_from_dict(doc: dict) -> IncrementalRuleMiner:
-    """Rebuild a maintained mining state from its snapshot document."""
-    if not isinstance(doc, dict):
-        raise SerializationError("miner document root is not an object")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported model format version: {version!r}"
-        )
-    if doc.get("kind") != "incremental-miner":
-        raise SerializationError(
-            f"document kind {doc.get('kind')!r} is not 'incremental-miner'"
-        )
-    state = doc.get("state")
-    if not isinstance(state, dict):
-        raise SerializationError("miner document has no 'state' object")
-    try:
-        return IncrementalRuleMiner.from_dict(state)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed miner document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------- #

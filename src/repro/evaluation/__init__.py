@@ -19,7 +19,6 @@ from repro.evaluation.crossval import (
     CVResult,
     cross_validate,
     fold_index_ranges,
-    holdout_validate,
 )
 from repro.evaluation.engine import (
     FoldOutcome,
@@ -56,7 +55,7 @@ from repro.evaluation.spatial import (
     hotspots,
     spatial_concentration,
 )
-from repro.evaluation.spec import PredictorSpec, SpecError, registered_spec_kinds
+from repro.evaluation.spec import PredictorSpec, SpecError
 from repro.evaluation.sweep import (
     SweepPoint,
     select_rule_window,
@@ -71,10 +70,8 @@ __all__ = [
     "CVResult",
     "cross_validate",
     "fold_index_ranges",
-    "holdout_validate",
     "PredictorSpec",
     "SpecError",
-    "registered_spec_kinds",
     "FoldTask",
     "FoldOutcome",
     "run_fold_tasks",

@@ -47,15 +47,6 @@ class CalibrationMeasurement:
     fatal_recovery: float = 0.0  # compressed fatals / planted fatals
     rules_mined: float = 0.0
 
-    def as_rows(self) -> list[tuple[str, float]]:
-        """(name, value) rows for reporting."""
-        skip = {"profile", "scale", "seeds"}
-        return [
-            (name, round(value, 4))
-            for name, value in vars(self).items()
-            if name not in skip
-        ]
-
 
 def measure_profile(
     profile: SystemProfile,

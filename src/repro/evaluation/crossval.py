@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.evaluation.engine import FoldTask, run_fold_tasks, spawn_task_seeds
-from repro.evaluation.matching import MatchResult, match_warnings
+from repro.evaluation.matching import MatchResult
 from repro.evaluation.metrics import Metrics, mean_metrics, micro_metrics
 from repro.evaluation.spec import PredictorSpec
 from repro.obs import get_registry
@@ -151,24 +151,3 @@ def cross_validate(
         fold_metrics=[o.match.metrics for o in outcomes],
         fold_matches=[o.match for o in outcomes],
     )
-
-
-def holdout_validate(
-    predictor: PredictorSpec,
-    events: EventStore,
-    train_fraction: float = 0.7,
-) -> tuple[Metrics, MatchResult]:
-    """Single chronological train/test split (quick evaluations, examples)."""
-    spec = require_spec(predictor)
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    n = len(events)
-    cut = int(n * train_fraction)
-    if cut == 0 or cut == n:
-        raise ValueError("split leaves an empty partition")
-    train = events.select(slice(0, cut))
-    test = events.select(slice(cut, n))
-    instance = spec.build()
-    instance.fit(train)
-    match = match_warnings(instance.predict(test), test)
-    return match.metrics, match

@@ -110,16 +110,6 @@ class IncrementalFitter:
             self._miners[key] = miner
         return miner
 
-    def peek_miner(self, spec: PredictorSpec) -> Optional[IncrementalRuleMiner]:
-        """The spec's maintained miner if one exists (no creation)."""
-        return self._miners.get(mining_recipe(spec))
-
-    def install_miner(
-        self, spec: PredictorSpec, miner: IncrementalRuleMiner
-    ) -> None:
-        """Adopt a restored miner as the spec's maintained state."""
-        self._miners[mining_recipe(spec)] = miner
-
     def fit(
         self, spec: PredictorSpec, train: EventStore, seed=None
     ) -> Predictor:

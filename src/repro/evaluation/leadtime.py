@@ -89,16 +89,3 @@ def lead_time_summary(match: MatchResult) -> dict:
         "p10": float(np.percentile(covered, 10)),
         "p90": float(np.percentile(covered, 90)),
     }
-
-
-def format_lead_profile(points: Sequence[LeadTimePoint]) -> str:
-    """Text table of a lead-time profile."""
-    lines = [
-        f"{'min lead(min)':>14} {'actionable recall':>18} {'retention':>10}"
-    ]
-    for p in points:
-        lines.append(
-            f"{p.min_lead_minutes:>14.0f} {p.actionable_recall:>18.3f} "
-            f"{p.coverage_retention:>10.3f}"
-        )
-    return "\n".join(lines)

@@ -35,11 +35,6 @@ class Metrics:
         return self.n_warnings - self.tp_warnings
 
     @property
-    def missed_fatals(self) -> int:
-        """Failures no warning covered (the paper's Fn)."""
-        return self.n_fatals - self.covered_fatals
-
-    @property
     def precision(self) -> float:
         """Correct predictions / all predictions (1.0 when nothing predicted).
 

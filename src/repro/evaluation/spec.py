@@ -125,11 +125,6 @@ def spec_kind(kind: str) -> SpecKind:
         ) from None
 
 
-def registered_spec_kinds() -> tuple[str, ...]:
-    """All registered kinds, sorted."""
-    return tuple(sorted(_KINDS))
-
-
 def _check_param_value(name: str, value: Any) -> ParamValue:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value

@@ -272,10 +272,6 @@ class DriftMonitor:
     def window_full(self) -> bool:
         return len(self._live) >= self.window
 
-    def live_counts(self) -> dict[str, int]:
-        """The live window's current histogram (copy)."""
-        return dict(self._counts)
-
     def score(self) -> float:
         """Current PSI of the live window against the reference."""
         return psi_score(self.reference, self._counts)

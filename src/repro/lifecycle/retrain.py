@@ -31,8 +31,6 @@ from repro.cache import ArtifactCache, fold_fit_key, store_fingerprint
 from repro.core.serialize import (
     SerializationError,
     apply_learned_state,
-    incremental_miner_from_dict,
-    incremental_miner_to_dict,
     learned_state_to_dict,
 )
 from repro.evaluation.engine import resolve_cache_dir, resolve_jobs
@@ -279,30 +277,6 @@ class Retrainer:
             )
         self._window = merged
         self._pending, self._pending_rows = [], 0
-
-    # -- maintained mining state ---------------------------------------- #
-
-    def fitter_state(self) -> Optional[dict]:
-        """Versioned snapshot of the maintained mining state, if any.
-
-        ``None`` when incremental fitting is off or no supported fit has
-        happened yet.  The document goes through the serialization layer's
-        versioned envelope (:func:`~repro.core.serialize.
-        incremental_miner_to_dict`) so a daemon can persist it next to its
-        model registry and restore O(delta) refits after a restart.
-        """
-        if self.fitter is None:
-            return None
-        miner = self.fitter.peek_miner(self.spec)
-        if miner is None:
-            return None
-        return incremental_miner_to_dict(miner)
-
-    def restore_fitter_state(self, doc: dict) -> None:
-        """Restore a :meth:`fitter_state` snapshot into this retrainer."""
-        if self.fitter is None:
-            self.fitter = IncrementalFitter()
-        self.fitter.install_miner(self.spec, incremental_miner_from_dict(doc))
 
     # -- fitting -------------------------------------------------------- #
 

@@ -378,14 +378,6 @@ class IncrementalRuleMiner:
         self._window = (*window, self.miner.version)
         return sum(to_add.values()), sum(to_evict.values())
 
-    def add_window(self, transactions: Iterable[frozenset[int]]) -> int:
-        """Add transactions directly (callers managing their own windows)."""
-        return self.miner.add(transactions)
-
-    def evict_window(self, transactions: Iterable[frozenset[int]]) -> int:
-        """Evict transactions directly (exact multiset members required)."""
-        return self.miner.evict(transactions)
-
     def reset(self) -> None:
         """Drop all maintained state (next sync rebuilds from scratch)."""
         self.miner = IncrementalMiner()
@@ -421,47 +413,6 @@ class IncrementalRuleMiner:
         self._ruleset = ruleset
         self._ruleset_version = self.miner.version
         return ruleset
-
-    # -- snapshot / restore ------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-safe snapshot: the transaction multiset and parameters only
-        (the rest is derived state), so snapshot hashes stay stable."""
-        return {
-            "params": {
-                "min_support": self.min_support,
-                "min_confidence": self.min_confidence,
-                "max_len": self.max_len,
-                "combine": self.combine,
-                "prune_generalizations": self.prune_generalizations,
-            },
-            "item_names": list(self.item_names),
-            "fatal_items": sorted(self.fatal_items),
-            "transactions": sorted(
-                (sorted(t), w)
-                for t, w in self.miner.transaction_counts().items()
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "IncrementalRuleMiner":
-        params = payload["params"]
-        self = cls(
-            min_support=params["min_support"],
-            min_confidence=params["min_confidence"],
-            max_len=params["max_len"],
-            combine=params["combine"],
-            prune_generalizations=params["prune_generalizations"],
-        )
-        self.item_names = list(payload["item_names"])
-        self.fatal_items = frozenset(payload["fatal_items"])
-        batch = [
-            frozenset(items)
-            for items, w in payload["transactions"]
-            for _ in range(w)
-        ]
-        self.add_window(batch)
-        return self
 
 
 Window = tuple[list[frozenset[int]], list[frozenset[int]]]

@@ -345,14 +345,6 @@ class RuleSet:
             )
         return rule
 
-    def best_match(self, observed: Iterable[int]) -> Optional[Rule]:
-        """Highest-confidence rule whose body is fully observed, if any."""
-        observed = set(observed)
-        for i, body in enumerate(self.body_items):  # confidence-descending
-            if observed.issuperset(body):
-                return self[i]
-        return None
-
     def matching(self, observed: Iterable[int]) -> list[Rule]:
         """All rules whose body is fully observed (confidence-descending)."""
         observed = set(observed)
@@ -466,10 +458,6 @@ class RuleMatcher:
         if not heap:
             return None
         return self._rules[heap[0]] or self.ruleset[heap[0]]
-
-    def observed_items(self) -> set[int]:
-        """Distinct items currently in the window."""
-        return set(self._present)
 
     def has_observed(self) -> bool:
         """True if any item is currently in the window (no set built)."""

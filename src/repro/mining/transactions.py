@@ -57,9 +57,6 @@ class EventSetDB:
         with_head = list(compress(self.bodies, self.heads))
         return with_head.count(frozenset()) / len(with_head) if with_head else 0.0
 
-    def name_of(self, item: int) -> str:
-        return self.item_names[item]
-
 
 def _require_classified(events: EventStore) -> None:
     if len(events) and bool((events.subcat_ids == UNCLASSIFIED).any()):

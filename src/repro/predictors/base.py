@@ -58,10 +58,6 @@ class FailureWarning:
             raise ValueError("horizon_end must be >= horizon_start")
         check_fraction(self.confidence, "confidence")
 
-    @property
-    def horizon_width(self) -> int:
-        return self.horizon_end - self.horizon_start
-
     def covers(self, time: float) -> bool:
         """True if ``time`` falls inside the prediction horizon."""
         return self.horizon_start <= time <= self.horizon_end

@@ -59,12 +59,6 @@ ALERT_CATEGORIES: dict[str, tuple[str, MainCategory]] = {
 NON_ALERT_TAG = "-"
 
 
-def alert_main_category(tag: str) -> Optional[MainCategory]:
-    """Main category of a dump alert tag (None for non-alert/unknown)."""
-    entry = ALERT_CATEGORIES.get(tag.upper())
-    return entry[1] if entry else None
-
-
 def diagnose_store(
     store: EventStore, classifier: Optional[TaxonomyClassifier] = None
 ) -> dict:

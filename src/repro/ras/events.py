@@ -80,20 +80,3 @@ class RasEvent:
     def with_time(self, time: int) -> "RasEvent":
         """Return a copy at a different timestamp (used by compressors)."""
         return replace(self, time=time)
-
-    def dedup_key_temporal(self) -> tuple[int, str]:
-        """Key for temporal compression: identical JOB_ID and LOCATION.
-
-        Records sharing this key within the compression threshold are
-        duplicates produced by the same polling agent re-reporting one fault.
-        """
-        return (self.job_id, self.location)
-
-    def dedup_key_spatial(self) -> tuple[int, str]:
-        """Key for spatial compression: identical JOB_ID and ENTRY_DATA.
-
-        Records sharing this key within the threshold but at *different*
-        locations are the same fault reported by every chip of the job's
-        partition.
-        """
-        return (self.job_id, self.entry_data)

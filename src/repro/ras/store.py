@@ -435,10 +435,6 @@ class EventStore:
         sc = int(self.subcat_ids[i])
         return None if sc == UNCLASSIFIED else self._subcats[sc]
 
-    def subcat_id_of(self, name: str) -> int:
-        """Id of a subcategory name, interning it if new."""
-        return self._subcats.intern(name)
-
     # ------------------------------------------------------------------ #
     # Derivation
     # ------------------------------------------------------------------ #
@@ -602,10 +598,6 @@ class EventStore:
     def fatal_events(self) -> "EventStore":
         """The failure records only."""
         return self.select(self.fatal_mask())
-
-    def nonfatal_events(self) -> "EventStore":
-        """The non-failure records only."""
-        return self.select(~self.fatal_mask())
 
     def severity_counts(self) -> dict[Severity, int]:
         """Record count per severity level."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -88,21 +88,47 @@ class PoolReport:
         return self.events / self.seconds
 
 
-def _replay_shard(
-    meta: MetaLearner, shard: int, store: EventStore, finalize: bool
-) -> ShardReport:
-    """Replay one shard's sub-store on a fresh session (both backends)."""
-    t0 = perf_counter()
-    session = OnlineSession(meta)
-    warnings = session.process_store(store)
-    stats = session.finish() if finalize else session.stats
-    return ShardReport(
-        shard=shard,
-        events=len(store),
-        seconds=perf_counter() - t0,
-        stats=stats,
-        warnings=warnings,
-    )
+def _replay_parts(
+    meta: MetaLearner,
+    chunks: Iterable[list[tuple[int, EventStore]]],
+    finalize: bool,
+) -> list[ShardReport]:
+    """Replay partitioned chunks on fresh per-shard sessions.
+
+    ``chunks`` yields each chunk's ``(shard, sub-store)`` pairs in stream
+    order; a shard's session carries over from chunk to chunk, so a whole
+    store passed as one chunk and the same store in slices give the same
+    reports.  Reports come back ascending by shard.
+    """
+    sessions: dict[int, OnlineSession] = {}
+    warnings: dict[int, list[FailureWarning]] = {}
+    events: dict[int, int] = {}
+    seconds: dict[int, float] = {}
+    for parts in chunks:
+        for shard, part in parts:
+            t0 = perf_counter()
+            session = sessions.get(shard)
+            if session is None:
+                session = sessions[shard] = OnlineSession(meta)
+                warnings[shard], events[shard], seconds[shard] = [], 0, 0.0
+            warnings[shard].extend(session.process_store(part))
+            events[shard] += len(part)
+            seconds[shard] += perf_counter() - t0
+    reports = []
+    for shard in sorted(sessions):
+        t0 = perf_counter()
+        session = sessions[shard]
+        stats = session.finish() if finalize else session.stats
+        reports.append(
+            ShardReport(
+                shard=shard,
+                events=events[shard],
+                seconds=seconds[shard] + perf_counter() - t0,
+                stats=stats,
+                warnings=warnings[shard],
+            )
+        )
+    return reports
 
 
 # Per-worker global, installed once by the pool initializer so the fitted
@@ -118,7 +144,7 @@ def _init_worker(meta: MetaLearner) -> None:
 def _replay_in_worker(task: tuple[int, EventStore, bool]) -> ShardReport:
     assert _WORKER_META is not None, "worker initializer did not run"
     shard, store, finalize = task
-    return _replay_shard(_WORKER_META, shard, store, finalize)
+    return _replay_parts(_WORKER_META, [[(shard, store)]], finalize)[0]
 
 
 class DetectorPool:
@@ -281,35 +307,33 @@ class DetectorPool:
         accounting); ``jobs`` follows the evaluation engine's convention
         (``None`` -> ``REPRO_JOBS`` -> serial).
 
-        ``chunk_events`` switches to the streaming path: the store is read
-        in contiguous slices of at most that many rows and each slice is
-        partitioned and fed to per-shard sessions that persist across
-        chunks.  On a columnar store this keeps only one chunk's shard
-        materializations in RAM at a time; the report (per-shard warnings
-        and stats) is identical to the whole-store replay.  Streaming
-        replay is serial — ``jobs`` is ignored.
+        ``chunk_events`` reads the store in contiguous slices of at most
+        that many rows; each slice is partitioned and fed to the same
+        per-shard sessions, so on a columnar store only one chunk's shard
+        materializations sit in RAM at a time.  The report (per-shard
+        warnings and stats) is identical to the whole-store replay, which
+        is the same loop with the store as one chunk.  Chunked replay is
+        serial — ``jobs`` is ignored.
         """
         if chunk_events is not None:
-            return self._replay_streaming(
-                store, chunk_events=chunk_events, finalize=finalize
+            check_positive(chunk_events, "chunk_events")
+            chunks: Iterable[list[tuple[int, EventStore]]] = map(
+                self.partition, store.iter_chunks(chunk_events)
             )
-        jobs = resolve_jobs(jobs)
-        parts = self.partition(store)
+            backend = "streaming"
+        else:
+            jobs = resolve_jobs(jobs)
+            parts = self.partition(store)
+            chunks = [parts]
+            backend = "process" if (jobs > 1 and len(parts) > 1) else "serial"
         obs = get_registry()
-        backend = "process" if (jobs > 1 and len(parts) > 1) else "serial"
         t0 = perf_counter()
         with obs.span(
             "serve.replay", backend=backend, key=self.key, shards=str(self.shards)
         ):
-            if backend == "serial":
-                reports = [
-                    _replay_shard(self.meta, shard, part, finalize)
-                    for shard, part in parts
-                ]
-            else:
-                workers = min(jobs, len(parts))
+            if backend == "process":
                 with ProcessPoolExecutor(
-                    max_workers=workers,
+                    max_workers=min(jobs, len(parts)),
                     initializer=_init_worker,
                     initargs=(self.meta,),
                 ) as pool:
@@ -319,60 +343,8 @@ class DetectorPool:
                             [(shard, part, finalize) for shard, part in parts],
                         )
                     )
-        report = PoolReport(key=self.key, shards=reports, seconds=perf_counter() - t0)
-        self._emit_replay_metrics(report)
-        return report
-
-    def _replay_streaming(
-        self, store: EventStore, *, chunk_events: int, finalize: bool
-    ) -> PoolReport:
-        """Chunk-at-a-time replay with per-shard sessions carried across chunks.
-
-        Chunks are zero-copy slices; only one chunk's shard partitions are
-        materialized at any moment, so peak RSS is bounded by the chunk
-        size, not the log size.  Per-shard event sequences are identical to
-        :meth:`partition` of the whole store (partitioning preserves order
-        and chunking only inserts boundaries), so warnings and stats match
-        the batch replay bit for bit.
-        """
-        check_positive(chunk_events, "chunk_events")
-        obs = get_registry()
-        t0 = perf_counter()
-        sessions: dict[int, OnlineSession] = {}
-        warnings: dict[int, list[FailureWarning]] = {}
-        events: dict[int, int] = {}
-        seconds: dict[int, float] = {}
-        with obs.span(
-            "serve.replay",
-            backend="streaming",
-            key=self.key,
-            shards=str(self.shards),
-        ):
-            for chunk in store.iter_chunks(chunk_events):
-                for shard, part in self.partition(chunk):
-                    s0 = perf_counter()
-                    session = sessions.get(shard)
-                    if session is None:
-                        session = sessions[shard] = OnlineSession(self.meta)
-                        warnings[shard] = []
-                        events[shard] = 0
-                        seconds[shard] = 0.0
-                    warnings[shard].extend(session.process_store(part))
-                    events[shard] += len(part)
-                    seconds[shard] += perf_counter() - s0
-            reports = []
-            for shard in sorted(sessions):
-                session = sessions[shard]
-                stats = session.finish() if finalize else session.stats
-                reports.append(
-                    ShardReport(
-                        shard=shard,
-                        events=events[shard],
-                        seconds=seconds[shard],
-                        stats=stats,
-                        warnings=warnings[shard],
-                    )
-                )
+            else:
+                reports = _replay_parts(self.meta, chunks, finalize)
         report = PoolReport(key=self.key, shards=reports, seconds=perf_counter() - t0)
         self._emit_replay_metrics(report)
         return report

@@ -191,11 +191,3 @@ def default_chain_templates(
     if overrides:
         raise KeyError(f"unknown template keys in overrides: {sorted(overrides)}")
     return templates
-
-
-def template_by_key(templates: list[ChainTemplate], key: str) -> ChainTemplate:
-    """Look one template up by key."""
-    for tpl in templates:
-        if tpl.key == key:
-            return tpl
-    raise KeyError(f"no template with key {key!r}")

@@ -160,11 +160,6 @@ class SystemProfile:
             if self.fatal_budget.get(cat, 0) < 0:
                 raise ValueError(f"negative budget for {cat.value}")
 
-    @property
-    def total_fatal_budget(self) -> int:
-        return sum(self.fatal_budget.values())
-
-
 #: Epochs of the paper's log start dates (UTC midnight).
 _ANL_START = 1106265600  # 2005-01-21
 _SDSC_START = 1102291200  # 2004-12-06

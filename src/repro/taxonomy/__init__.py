@@ -21,7 +21,6 @@ from repro.taxonomy.subcategories import (
     Subcategory,
     by_category,
     by_name,
-    fatal_names_by_category,
     validate_catalog,
 )
 from repro.taxonomy.classifier import TaxonomyClassifier, OTHER_FALLBACK
@@ -35,7 +34,6 @@ __all__ = [
     "Subcategory",
     "by_category",
     "by_name",
-    "fatal_names_by_category",
     "validate_catalog",
     "TaxonomyClassifier",
     "OTHER_FALLBACK",

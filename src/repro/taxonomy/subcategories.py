@@ -28,7 +28,7 @@ from typing import Iterable
 
 from repro.bgl.locations import LocationKind
 from repro.ras.fields import Facility, Severity
-from repro.taxonomy.categories import CATEGORY_ORDER, MainCategory
+from repro.taxonomy.categories import MainCategory
 
 
 @dataclass(frozen=True)
@@ -364,14 +364,6 @@ def by_name(name: str) -> Subcategory:
 def by_category(category: MainCategory) -> tuple[Subcategory, ...]:
     """All subcategories of one main category, catalog order."""
     return tuple(sc for sc in CATALOG if sc.category is category)
-
-
-def fatal_names_by_category() -> dict[MainCategory, tuple[str, ...]]:
-    """Names of the fatal subcategories per main category (Table 4 rows)."""
-    return {
-        cat: tuple(sc.name for sc in by_category(cat) if sc.is_fatal)
-        for cat in CATEGORY_ORDER
-    }
 
 
 def validate_catalog(catalog: Iterable[Subcategory] = CATALOG) -> None:

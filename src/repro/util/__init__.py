@@ -10,15 +10,12 @@ from repro.util.timeutil import (
     HOUR,
     DAY,
     format_epoch,
-    parse_bgl_date,
-    parse_bgl_timestamp,
     format_bgl_date,
     format_bgl_timestamp,
 )
 from repro.util.validation import (
     check_fraction,
     check_positive,
-    check_nonnegative,
     check_sorted,
 )
 from repro.util.windows import (
@@ -34,13 +31,10 @@ __all__ = [
     "as_generator",
     "spawn_child",
     "format_epoch",
-    "parse_bgl_date",
-    "parse_bgl_timestamp",
     "format_bgl_date",
     "format_bgl_timestamp",
     "check_fraction",
     "check_positive",
-    "check_nonnegative",
     "check_sorted",
     "count_in_windows",
     "events_in_window",

@@ -20,34 +20,9 @@ DAY: int = 86400
 _UTC = _dt.timezone.utc
 
 
-def parse_bgl_date(text: str) -> int:
-    """Parse a ``YYYY.MM.DD`` date into the epoch second at midnight UTC.
-
-    This is the short date field that prefixes each raw log line.
-    """
-    dt = _dt.datetime.strptime(text, "%Y.%m.%d").replace(tzinfo=_UTC)
-    return int(dt.timestamp())
-
-
 def format_bgl_date(epoch: float) -> str:
     """Format an epoch second as the short ``YYYY.MM.DD`` date field."""
     return _dt.datetime.fromtimestamp(float(epoch), tz=_UTC).strftime("%Y.%m.%d")
-
-
-def parse_bgl_timestamp(text: str) -> int:
-    """Parse a full ``YYYY-MM-DD-HH.MM.SS.ffffff`` timestamp to epoch seconds.
-
-    Fractional seconds are accepted but truncated: the RAS pipeline operates
-    at second granularity (see module docstring).  A timestamp without the
-    fractional part is accepted as well.
-    """
-    base, _, _frac = text.partition(".")
-    # ``base`` now holds YYYY-MM-DD-HH, so re-split on the full pattern.
-    try:
-        dt = _dt.datetime.strptime(text[:19], "%Y-%m-%d-%H.%M.%S").replace(tzinfo=_UTC)
-    except ValueError as exc:
-        raise ValueError(f"invalid BG/L timestamp: {text!r}") from exc
-    return int(dt.timestamp())
 
 
 def format_bgl_timestamp(epoch: float, microseconds: int = 0) -> str:

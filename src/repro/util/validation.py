@@ -23,13 +23,6 @@ def check_positive(value: float, name: str) -> float:
     return float(value)
 
 
-def check_nonnegative(value: float, name: str) -> float:
-    """Require ``value >= 0``; return ``float(value)`` for chaining."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-    return float(value)
-
-
 def check_in_range(value: float, lo: float, hi: float, name: str) -> float:
     """Require ``lo <= value <= hi``; return ``float(value)`` for chaining.
 

@@ -6,9 +6,7 @@ import pytest
 from repro.bgl.faults import (
     burst_process,
     chain_instances,
-    merge_sorted_times,
     poisson_times,
-    thin_times,
 )
 from repro.util.rng import as_generator
 
@@ -39,14 +37,6 @@ def test_poisson_times_validation(rng):
         poisson_times(rng, -1.0, 0, 10)
     with pytest.raises(ValueError):
         poisson_times(rng, 1.0, 10, 0)
-
-
-def test_thin_times(rng):
-    t = np.arange(10_000, dtype=float)
-    kept = thin_times(rng, t, 0.25)
-    assert kept.size == pytest.approx(2500, rel=0.15)
-    assert thin_times(rng, t, 0.0).size == 0
-    assert thin_times(rng, t, 1.0).size == t.size
 
 
 def test_burst_process_structure(rng):
@@ -107,9 +97,3 @@ def test_chain_instances_validation(rng):
     with pytest.raises(ValueError):
         chain_instances(rng, 1.0, 0, 10, body_len=1, confidence=0.5,
                         body_span=10, head_lag_lo=5, head_lag_hi=5)
-
-
-def test_merge_sorted_times():
-    merged = merge_sorted_times(np.array([3.0, 1.0]), np.array([2.0]))
-    assert list(merged) == [1.0, 2.0, 3.0]
-    assert merge_sorted_times().size == 0

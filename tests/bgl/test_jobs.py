@@ -67,12 +67,6 @@ def test_partition_chips(machine):
     assert len(cards) == 16
 
 
-def test_utilization(machine):
-    # One job on one of two midplanes for the whole interval -> 50 %.
-    trace = JobTrace(machine, [Job(1, 0, 100, (0,))])
-    assert trace.utilization(0, 100) == pytest.approx(0.5)
-
-
 def test_workload_model_generates_valid_trace(machine):
     model = JobWorkloadModel(machine, mean_interarrival=600, mean_duration=3600)
     trace = model.generate(0, 30 * 86400, seed=1)
@@ -80,8 +74,11 @@ def test_workload_model_generates_valid_trace(machine):
     # Every job fits the horizon.
     for job in trace.jobs:
         assert 0 <= job.start < job.end <= 30 * 86400
-    # A reasonable utilization (not idle, not impossible).
-    assert 0.05 < trace.utilization(0, 30 * 86400) <= 1.0
+    # A reasonable utilization (not idle, not impossible): the share of
+    # midplane-seconds the jobs occupy.
+    busy = sum(job.duration * len(job.midplane_indices) for job in trace.jobs)
+    total = 30 * 86400 * len(machine.midplane_locations)
+    assert 0.05 < busy / total <= 1.0
 
 
 def test_workload_model_deterministic(machine):

@@ -64,14 +64,6 @@ def test_chip_navigation_consistent():
     assert set(chips) <= set(m.chip_locations)
 
 
-def test_io_navigation_consistent():
-    m = Machine(SDSC_SPEC)
-    card = m.nodecard_locations[0]
-    ios = m.io_nodes_of_nodecard(card)
-    assert len(ios) == 4
-    assert set(ios) <= set(m.io_node_locations)
-
-
 def test_nodecards_of_midplane():
     m = Machine(ANL_SPEC)
     cards = m.nodecards_of_midplane(m.midplane_locations[1])

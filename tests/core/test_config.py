@@ -25,11 +25,3 @@ def test_validation():
         PredictorConfig(statistical_lead=HOUR, statistical_window=HOUR)
     with pytest.raises(ValueError):
         PredictorConfig(max_rule_len=1)
-
-
-def test_with_prediction_window_copies():
-    cfg = PredictorConfig()
-    other = cfg.with_prediction_window(10 * MINUTE)
-    assert other.prediction_window == 10 * MINUTE
-    assert cfg.prediction_window == 30 * MINUTE
-    assert other.rule_window == cfg.rule_window

@@ -21,7 +21,7 @@ def test_measure_profile_fields(measurement):
     assert measurement.profile == "ANL"
     assert measurement.seeds == (3,)
     assert 0.9 <= measurement.fatal_recovery <= 1.0
-    for name, value in measurement.as_rows():
+    for name, value in vars(measurement).items():
         if name.endswith(("precision", "recall", "fraction")) or \
                 name.endswith(("_5", "_60")):
             assert 0.0 <= value <= 1.0, (name, value)

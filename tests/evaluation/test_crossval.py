@@ -6,9 +6,7 @@ from repro.evaluation.crossval import (
     CVResult,
     cross_validate,
     fold_index_ranges,
-    holdout_validate,
 )
-from repro.evaluation.matching import match_warnings
 from repro.evaluation.metrics import Metrics, micro_metrics
 from repro.evaluation.spec import PredictorSpec
 from repro.evaluation.sweep import sweep
@@ -64,8 +62,6 @@ def test_fold_index_ranges_k_below_two_rejected():
 def test_entry_points_accept_only_specs(predictor, anl_events):
     with pytest.raises(TypeError, match="PredictorSpec"):
         cross_validate(predictor, anl_events, k=5)
-    with pytest.raises(TypeError, match="PredictorSpec"):
-        holdout_validate(predictor, anl_events, train_fraction=0.7)
     with pytest.raises(TypeError, match="PredictorSpec"):
         sweep([(30 * MINUTE, predictor)], anl_events, k=5)
 
@@ -132,33 +128,3 @@ def test_cross_validate_spec_fold_structure(anl_events):
     assert result.k == 5
     total_fatals = sum(m.n_fatals for m in result.fold_metrics)
     assert total_fatals == len(anl_events.fatal_events())
-
-
-def test_holdout_validate_accepts_spec(anl_events):
-    """The spec holdout equals fitting by hand on the chronological split."""
-    metrics, _ = holdout_validate(
-        PredictorSpec.statistical(window=HOUR, lead=5 * MINUTE),
-        anl_events,
-        train_fraction=0.7,
-    )
-    cut = int(len(anl_events) * 0.7)
-    test = anl_events.select(slice(cut, len(anl_events)))
-    by_hand = StatisticalPredictor(window=HOUR, lead=5 * MINUTE).fit(
-        anl_events.select(slice(0, cut))
-    )
-    assert metrics == match_warnings(by_hand.predict(test), test).metrics
-
-
-def test_holdout_validate(anl_events):
-    metrics, match = holdout_validate(
-        PredictorSpec.statistical(window=HOUR, lead=5 * MINUTE),
-        anl_events,
-        train_fraction=0.7,
-    )
-    assert metrics.n_fatals == match.metrics.n_fatals
-    assert metrics.n_fatals > 0
-
-
-def test_holdout_validation_errors(anl_events):
-    with pytest.raises(ValueError):
-        holdout_validate(PredictorSpec.statistical(), anl_events, 0.0)

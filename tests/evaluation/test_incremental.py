@@ -97,13 +97,14 @@ def test_repeated_fit_is_zero_delta(train):
 
 def test_prediction_window_grid_shares_one_miner(train):
     fitter = IncrementalFitter()
-    for _, spec in META_SPEC.grid(
+    grid = META_SPEC.grid(
         "prediction_window", [10 * MINUTE, 20 * MINUTE, 30 * MINUTE]
-    ):
+    )
+    for _, spec in grid:
         fitter.fit(spec, train)
     assert fitter.fits == 3
     assert fitter.zero_delta_fits == 2  # same recipe, same window
-    assert fitter.peek_miner(META_SPEC) is not None
+    assert len({id(fitter.miner_for(spec)) for _, spec in grid}) == 1
 
 
 def test_sliding_windows_keep_identity(anl_events):
@@ -116,15 +117,6 @@ def test_sliding_windows_keep_identity(anl_events):
         assert learned_state_to_dict(incremental) == learned_state_to_dict(
             direct
         )
-
-
-def test_install_and_peek_miner(train):
-    fitter = IncrementalFitter()
-    assert fitter.peek_miner(RULE_SPEC) is None
-    miner = IncrementalFitter().miner_for(RULE_SPEC)
-    fitter.install_miner(RULE_SPEC, miner)
-    assert fitter.peek_miner(RULE_SPEC) is miner
-    assert fitter.miner_for(RULE_SPEC) is miner
 
 
 # --------------------------------------------------------------------- #

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.evaluation.leadtime import (
-    LeadTimePoint,
-    format_lead_profile,
-    lead_time_profile,
-    lead_time_summary,
-)
+from repro.evaluation.leadtime import lead_time_profile, lead_time_summary
 from repro.evaluation.matching import MatchResult, match_warnings
 from repro.evaluation.metrics import Metrics
 
@@ -69,15 +64,6 @@ def test_summary_empty():
     s = lead_time_summary(_match([np.nan]))
     assert s["covered"] == 0
     assert math.isnan(s["mean"])
-
-
-def test_format_profile():
-    text = format_lead_profile(
-        [LeadTimePoint(min_lead=60, actionable_recall=0.5,
-                       coverage_retention=0.8)]
-    )
-    assert "actionable recall" in text
-    assert "0.500" in text
 
 
 def test_end_to_end_on_meta(anl_events):

@@ -10,7 +10,6 @@ def test_basic_ratios():
     assert m.precision == pytest.approx(0.7)
     assert m.recall == pytest.approx(0.4)
     assert m.fp_warnings == 3
-    assert m.missed_fatals == 12
 
 
 def test_f1():

@@ -172,8 +172,8 @@ def test_top_label_bucketing_bounds_the_bin_count(anl_events):
 def test_monitor_window_eviction_keeps_counts_consistent():
     monitor = DriftMonitor({"a": 1, "b": 1}, window=4)
     monitor.observe_labels(["a", "a", "b", "b", "a", "a"])
-    assert monitor.live_counts() == {"b": 2, "a": 2}
-    assert sum(monitor.live_counts().values()) == 4
+    assert monitor._counts == {"b": 2, "a": 2}
+    assert sum(monitor._counts.values()) == 4
 
 
 def test_evaluate_records_gauges_and_precision():

@@ -204,7 +204,6 @@ def test_retrainer_incremental_disabled_has_no_fitter(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
     retrainer = Retrainer(PredictorSpec.of("meta"), ModelRegistry(tmp_path))
     assert retrainer.fitter is None
-    assert retrainer.fitter_state() is None
 
 
 def test_retrainer_unsupported_kind_skips_fitter(tmp_path):
@@ -212,28 +211,3 @@ def test_retrainer_unsupported_kind_skips_fitter(tmp_path):
         PredictorSpec.statistical(), ModelRegistry(tmp_path), incremental=True
     )
     assert retrainer.fitter is None
-
-
-def test_retrainer_fitter_state_roundtrip(anl_events, tmp_path):
-    """A restarted daemon restores O(delta) refits from the saved state."""
-    spec = PredictorSpec.rule(rule_window=900.0)
-    registry = ModelRegistry(tmp_path / "a")
-    retrainer = Retrainer(
-        spec, registry, window_events=300, incremental=True
-    )
-    retrainer.extend(anl_events.select(slice(0, 300)))
-    snap1, _ = retrainer.retrain()
-    doc = retrainer.fitter_state()
-    assert doc is not None and doc["kind"] == "incremental-miner"
-
-    revived = Retrainer(
-        spec, ModelRegistry(tmp_path / "b"), window_events=300,
-        incremental=True,
-    )
-    revived.restore_fitter_state(doc)
-    revived.extend(anl_events.select(slice(0, 300)))
-    snap2, _ = revived.retrain()
-    assert snap2.snapshot_id == snap1.snapshot_id
-    # The restored miner really was adopted, not rebuilt: zero sync delta.
-    assert revived.fitter is not None
-    assert revived.fitter.zero_delta_fits == 1

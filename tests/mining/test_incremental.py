@@ -16,12 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pipeline import ThreePhasePredictor
-from repro.core.serialize import (
-    SerializationError,
-    incremental_miner_from_dict,
-    incremental_miner_to_dict,
-    ruleset_to_dict,
-)
+from repro.core.serialize import ruleset_to_dict
 from repro.mining import rules
 from repro.mining.counts import min_count_for
 from repro.mining.incremental import (
@@ -417,38 +412,6 @@ def test_rule_miner_zero_delta_label_growth_refreshes_ruleset():
     assert_rules_match(miner, refatal)
 
 
-def test_snapshot_roundtrip_preserves_rules():
-    db = make_db(ROWS)
-    miner = IncrementalRuleMiner(min_support=0.1, min_confidence=0.2)
-    miner.sync(db)
-    doc = incremental_miner_to_dict(miner)
-    assert doc["kind"] == "incremental-miner"
-    restored = incremental_miner_from_dict(doc)
-    assert ruleset_key(restored.rules()) == ruleset_key(miner.rules())
-    # The restored miner keeps syncing incrementally from where it left off.
-    shifted = make_db(ROWS[2:])
-    restored.sync(shifted)
-    assert_rules_match(restored, shifted)
-
-
-def test_snapshot_roundtrip_is_stable():
-    db = make_db(ROWS)
-    miner = IncrementalRuleMiner(min_support=0.1, min_confidence=0.2)
-    miner.sync(db)
-    doc = incremental_miner_to_dict(miner)
-    again = incremental_miner_to_dict(incremental_miner_from_dict(doc))
-    assert doc == again
-
-
-def test_snapshot_rejects_foreign_documents():
-    with pytest.raises(SerializationError):
-        incremental_miner_from_dict({"kind": "something-else"})
-    with pytest.raises(SerializationError):
-        incremental_miner_from_dict(
-            {"format_version": 999, "kind": "incremental-miner", "state": {}}
-        )
-
-
 def test_rule_miner_randomized_windows_match_scratch():
     rng = as_generator(77)
     miner = IncrementalRuleMiner(min_support=0.1, min_confidence=0.2)
@@ -516,14 +479,14 @@ def test_unshared_transactions_keep_the_multiset_difference(
 
 
 def test_sync_after_direct_window_edits_diffs_the_whole_multiset():
-    """add_window/evict_window change the multiset behind the last synced
-    window, so the next sync must not trust the alignment."""
+    """Direct edits of the underlying miner change the multiset behind the
+    last synced window, so the next sync must not trust the alignment."""
     miner = IncrementalRuleMiner(min_support=0.1, min_confidence=0.2)
     db = make_db(ROWS)
     miner.sync(db)
-    miner.add_window([fs(A, X)])
+    miner.miner.add([fs(A, X)])
     assert miner.sync(db) == (0, 1)
-    miner.evict_window([fs(A, B, X)])
+    miner.miner.evict([fs(A, B, X)])
     assert miner.sync(db) == (1, 0)
     assert_rules_match(miner, db)
 

@@ -107,7 +107,6 @@ def test_empty_db_yields_empty_ruleset():
     db = make_db([])
     rs = generate_rules(db)
     assert len(rs) == 0
-    assert rs.best_match({A}) is None
 
 
 def test_rule_validation():
@@ -123,13 +122,6 @@ def test_rule_format_figure3_style():
     r = Rule(body=fs(A, B), heads=fs(X), confidence=0.7, support=0.1,
              support_count=3)
     assert r.format(ITEMS) == "warnA warnB ==> fatalX: 0.7"
-
-
-def test_best_match_highest_confidence(db):
-    rs = generate_rules(db, min_support=0.1, min_confidence=0.1)
-    best = rs.best_match({A, B, C})
-    assert best is rs[0]
-    assert rs.best_match({A}) is None or fs(A) <= {A}
 
 
 def test_matching_requires_full_body(db):
@@ -200,11 +192,5 @@ def test_matcher_reset(ruleset):
     m.add(C)
     m.reset()
     assert m.satisfied_rules() == []
-    assert m.observed_items() == set()
-
-
-def test_matcher_observed_items(ruleset):
-    m = RuleMatcher(ruleset)
-    m.add(A)
-    m.add(Z)
-    assert m.observed_items() == {A, Z}
+    with pytest.raises(ValueError):
+        m.remove(C)  # reset emptied the window

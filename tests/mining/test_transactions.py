@@ -41,16 +41,16 @@ def test_one_transaction_per_fatal(chain_store):
 
 def test_body_contains_preceding_nonfatals(chain_store):
     db = build_event_sets(chain_store, rule_window=600)
-    names = {db.name_of(i) for i in db.bodies[0]}
+    names = {db.item_names[i] for i in db.bodies[0]}
     assert names == {"ddrErrorCorrectionInfo", "maskInfo"}
-    head_names = {db.name_of(i) for i in db.heads[0]}
+    head_names = {db.item_names[i] for i in db.heads[0]}
     assert head_names == {"socketReadFailure"}
 
 
 def test_window_excludes_old_events(chain_store):
     db = build_event_sets(chain_store, rule_window=250)
     # Only maskInfo (t=200) is within 250 s of the fatal at t=400.
-    names = {db.name_of(i) for i in db.bodies[0]}
+    names = {db.item_names[i] for i in db.bodies[0]}
     assert names == {"maskInfo"}
 
 

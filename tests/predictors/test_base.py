@@ -34,7 +34,7 @@ def test_warning_covers():
     warning = w(0, start=10, end=20)
     assert warning.covers(10) and warning.covers(20)
     assert not warning.covers(9) and not warning.covers(21)
-    assert warning.horizon_width == 10
+    assert warning.horizon_end - warning.horizon_start == 10
 
 
 def test_dedup_suppresses_active_duplicates():

@@ -6,7 +6,6 @@ import pytest
 from repro.preprocess.loghub import (
     ALERT_CATEGORIES,
     NON_ALERT_TAG,
-    alert_main_category,
     diagnose_store,
     synthesize_job_ids,
 )
@@ -21,13 +20,6 @@ def test_alert_categories_well_formed():
         assert desc
         assert isinstance(cat, MainCategory)
     assert NON_ALERT_TAG == "-"
-
-
-def test_alert_main_category_lookup():
-    assert alert_main_category("KERNSOCK") is MainCategory.IOSTREAM
-    assert alert_main_category("appsev") is MainCategory.APPLICATION
-    assert alert_main_category("-") is None
-    assert alert_main_category("UNKNOWN") is None
 
 
 def test_diagnose_store_on_generated_log(small_anl_log):

@@ -51,11 +51,5 @@ def test_with_time():
     assert make_event(time=5).with_time(9).time == 9
 
 
-def test_dedup_keys():
-    ev = make_event(job_id=3, location="R00-M1", entry="msg")
-    assert ev.dedup_key_temporal() == (3, "R00-M1")
-    assert ev.dedup_key_spatial() == (3, "msg")
-
-
 def test_no_job_constant():
     assert NO_JOB == -1

@@ -64,9 +64,10 @@ def test_select_index_array(tiny_store):
 
 
 def test_fatal_and_nonfatal_partition(tiny_store):
-    assert len(tiny_store.fatal_events()) + len(tiny_store.nonfatal_events()) == len(
-        tiny_store
-    )
+    fatal = tiny_store.fatal_events()
+    rest = tiny_store.select(~tiny_store.fatal_mask())
+    assert len(fatal) + len(rest) == len(tiny_store)
+    assert fatal.fatal_mask().all() and not rest.fatal_mask().any()
 
 
 def test_time_window_half_open(tiny_store):

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.synth.chains import (
-    ChainTemplate,
-    default_chain_templates,
-    template_by_key,
-)
+from repro.synth.chains import ChainTemplate, default_chain_templates
 from repro.taxonomy.subcategories import by_name
+
+
+def _by_key(templates):
+    return {t.key: t for t in templates}
 
 
 def test_default_templates_valid():
@@ -19,17 +19,17 @@ def test_default_templates_valid():
 
 def test_figure3_rules_transcribed():
     templates = default_chain_templates()
-    nodemap = template_by_key(templates, "nodemap-file")
+    nodemap = _by_key(templates)["nodemap-file"]
     assert nodemap.body == ("nodeMapFileError",)
     assert nodemap.head == "nodeMapCreateFailure"
     assert nodemap.confidence == pytest.approx(1.0)
 
-    ddr = template_by_key(templates, "ddr-socket")
+    ddr = _by_key(templates)["ddr-socket"]
     assert ddr.body == ("ddrErrorCorrectionInfo", "maskInfo")
     assert ddr.head == "socketReadFailure"
     assert ddr.confidence == pytest.approx(0.698)
 
-    linkcard = template_by_key(templates, "nodecard-linkcard-c")
+    linkcard = _by_key(templates)["nodecard-linkcard-c"]
     assert len(linkcard.body) == 4
     assert linkcard.head == "linkcardFailure"
 
@@ -51,7 +51,7 @@ def test_every_fatal_category_has_a_template():
 def test_confidence_scale_clips():
     templates = default_chain_templates(confidence_scale=2.0)
     assert all(t.confidence <= 1.0 for t in templates)
-    assert template_by_key(templates, "coredump-load").confidence == 1.0
+    assert _by_key(templates)["coredump-load"].confidence == 1.0
 
 
 def test_geometry_arguments():
@@ -63,17 +63,12 @@ def test_geometry_arguments():
 
 def test_weight_overrides():
     templates = default_chain_templates(weight_overrides={"coredump-load": 7.5})
-    assert template_by_key(templates, "coredump-load").weight == 7.5
+    assert _by_key(templates)["coredump-load"].weight == 7.5
 
 
 def test_unknown_override_key():
     with pytest.raises(KeyError, match="unknown template keys"):
         default_chain_templates(weight_overrides={"nope": 1.0})
-
-
-def test_template_by_key_missing():
-    with pytest.raises(KeyError):
-        template_by_key(default_chain_templates(), "missing")
 
 
 def test_template_validation():

@@ -11,7 +11,6 @@ from repro.taxonomy.subcategories import (
     Subcategory,
     by_category,
     by_name,
-    fatal_names_by_category,
     validate_catalog,
 )
 
@@ -66,9 +65,10 @@ def test_fatal_nonfatal_partition():
 
 
 def test_every_category_has_a_fatal_subcategory():
-    fatal = fatal_names_by_category()
     for cat in MainCategory:
-        assert fatal[cat], f"{cat} has no fatal subcategory"
+        assert any(sc.is_fatal for sc in by_category(cat)), (
+            f"{cat} has no fatal subcategory"
+        )
 
 
 def test_naming_convention_matches_severity():

@@ -1,5 +1,7 @@
 """Tests for repro.util.timeutil."""
 
+from datetime import datetime, timezone
+
 import pytest
 
 from repro.util.timeutil import (
@@ -9,8 +11,6 @@ from repro.util.timeutil import (
     format_bgl_date,
     format_bgl_timestamp,
     format_epoch,
-    parse_bgl_date,
-    parse_bgl_timestamp,
 )
 
 
@@ -20,30 +20,13 @@ def test_constants():
     assert DAY == 24 * HOUR
 
 
-def test_parse_bgl_date_epoch():
-    # 2005-01-21 00:00 UTC
-    assert parse_bgl_date("2005.01.21") == 1106265600
-
-
 def test_date_roundtrip():
-    epoch = parse_bgl_date("2005.06.03")
+    epoch = int(datetime(2005, 6, 3, tzinfo=timezone.utc).timestamp())
     assert format_bgl_date(epoch) == "2005.06.03"
 
 
-def test_parse_bgl_timestamp_truncates_microseconds():
-    base = parse_bgl_timestamp("2005-06-03-15.42.50.675872")
-    plain = parse_bgl_timestamp("2005-06-03-15.42.50.000000")
-    assert base == plain
-
-
-def test_parse_bgl_timestamp_without_fraction():
-    assert parse_bgl_timestamp("2005-06-03-15.42.50") == parse_bgl_timestamp(
-        "2005-06-03-15.42.50.999999"
-    )
-
-
 def test_timestamp_roundtrip():
-    epoch = parse_bgl_timestamp("2006-04-28-23.59.59.000001")
+    epoch = int(datetime(2006, 4, 28, 23, 59, 59, tzinfo=timezone.utc).timestamp())
     assert format_bgl_timestamp(epoch).startswith("2006-04-28-23.59.59")
 
 
@@ -55,11 +38,6 @@ def test_format_bgl_timestamp_microseconds():
 def test_format_bgl_timestamp_bad_microseconds():
     with pytest.raises(ValueError):
         format_bgl_timestamp(0, microseconds=1_000_000)
-
-
-def test_parse_bgl_timestamp_invalid():
-    with pytest.raises(ValueError):
-        parse_bgl_timestamp("garbage")
 
 
 def test_format_epoch_readable():

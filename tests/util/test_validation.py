@@ -6,7 +6,6 @@ import pytest
 from repro.util.validation import (
     check_fraction,
     check_in_range,
-    check_nonnegative,
     check_positive,
     check_sorted,
 )
@@ -29,15 +28,8 @@ def test_check_positive():
         check_positive(0, "n")
 
 
-def test_check_nonnegative():
-    assert check_nonnegative(0, "n") == 0
-    with pytest.raises(ValueError):
-        check_nonnegative(-1, "n")
-
-
 @pytest.mark.parametrize("func, value", [
     (check_positive, 3),
-    (check_nonnegative, 0),
     (lambda v, n: check_in_range(v, 0, 10, n), 7),
 ])
 def test_checks_return_float_for_chaining(func, value):
